@@ -503,50 +503,69 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
 # ---------------------------------------------------------------------------
 
 
+# IoU rows per block in ``_nms``: an untrained 640 px head passes all 8400
+# cells, whose full IoU matrix alone would take 560 MB
+NMS_BLOCK = 1024
+
+
 def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
-    keep: list[Detection] = []
-    for det in sorted(dets, key=lambda d: -d.score):
-        if all(metrics.iou(det.box, k.box) < nms_iou for k in keep):
-            keep.append(det)
-    return keep
+    """Greedy NMS over one image's detections of one class: in stable
+    descending-score order, keep each box whose IoU with every kept box is
+    below ``nms_iou``."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    boxes = np.array([(b.x1, b.y1, b.x2, b.y2) for b in (dets[i].box for i in order)],
+                     dtype=np.float64).reshape(-1, 4)
+    kept = np.zeros(len(order), dtype=bool)
+    for lo in range(0, len(order), NMS_BLOCK):
+        hi = min(lo + NMS_BLOCK, len(order))
+        clash = metrics.iou_matrix(boxes[lo:hi], boxes[:hi]) >= nms_iou
+        alive = ~(clash[:, :lo] & kept[:lo]).any(axis=1)
+        for i in range(lo, hi):
+            if alive[i - lo]:
+                kept[i] = True
+                alive[i - lo + 1:] &= ~clash[i - lo, i + 1:hi]
+    return [dets[order[i]] for i in np.flatnonzero(kept)]
 
 
 def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,
            nms_iou: float = 0.45) -> list[list[Detection]]:
-    """Head outputs to per-image detections: sigmoid class scores, bin
-    expectations to box sides, score threshold, then greedy per-class NMS.
-    Detections come back sorted by descending score."""
+    """Head outputs to per-image detections: sigmoid class scores, score
+    threshold, bin expectations to box sides for the passing cells, then
+    greedy per-class NMS.  Detections come back sorted by descending score."""
     if not (0.0 < score_thresh < 1.0) or not (0.0 < nms_iou < 1.0):
         raise ConfigError("score_thresh and nms_iou must lie in (0, 1)")
     ncls, bins = cfg.num_classes, cfg.reg_bins
     arange = np.arange(bins)
     outs = [o.data if isinstance(o, Tensor4) else np.asarray(o) for o in head_outs]
     n = outs[0].shape[0]
-    raw: list[list[Detection]] = [[] for _ in range(n)]
+    # per image and class, candidates in (scale, row, column) order
+    raw: list[list[list[Detection]]] = [[[] for _ in range(ncls)] for _ in range(n)]
     for scale, out in enumerate(outs):
         stride = cfg.strides[scale]
-        _, _, gh, gw = out.shape
         scores = 1.0 / (1.0 + np.exp(-out[:, :ncls]))
-        reg = out[:, ncls:].reshape(n, 4, bins, gh, gw)
-        shifted = reg - reg.max(axis=2, keepdims=True)
+        bs, cs, ys, xs = np.nonzero(scores >= score_thresh)
+        # (bin, cell, side): the bin axis stays outside the innermost one, as
+        # on the full grid, so every sum over bins adds in the same order
+        cells = out[bs, ncls:, ys, xs].reshape(-1, 4, bins)
+        reg = np.ascontiguousarray(cells.transpose(2, 0, 1))
+        shifted = reg - reg.max(axis=0)
         e = np.exp(shifted)
-        probs = e / e.sum(axis=2, keepdims=True)
-        dist = np.einsum("nsbhw,b->nshw", probs, arange) * stride
-        for b in range(n):
-            for cls in range(ncls):
-                ys, xs = np.nonzero(scores[b, cls] >= score_thresh)
-                for gy, gx in zip(ys, xs):
-                    cx = (gx + 0.5) * stride
-                    cy = (gy + 0.5) * stride
-                    l, t, r, d = dist[b, :, gy, gx]
-                    box = Box(cx - l, cy - t, cx + r, cy + d)
-                    raw[b].append(Detection(class_id=cls, score=float(scores[b, cls, gy, gx]),
-                                            box=box, image_id=b))
+        probs = e / e.sum(axis=0)
+        dist = np.einsum("bks,b->ks", probs, arange) * stride
+        cx = (xs + 0.5) * stride
+        cy = (ys + 0.5) * stride
+        x1, y1 = (cx - dist[:, 0]).tolist(), (cy - dist[:, 1]).tolist()
+        x2, y2 = (cx + dist[:, 2]).tolist(), (cy + dist[:, 3]).tolist()
+        cand_scores = scores[bs, cs, ys, xs].tolist()
+        for k, (b, cls) in enumerate(zip(bs.tolist(), cs.tolist())):
+            raw[b][cls].append(Detection(class_id=cls, score=cand_scores[k],
+                                         box=Box(x1[k], y1[k], x2[k], y2[k]), image_id=b))
     result = []
-    for b in range(n):
+    for per_class in raw:
         kept: list[Detection] = []
-        for cls in sorted({d.class_id for d in raw[b]}):
-            kept.extend(_nms([d for d in raw[b] if d.class_id == cls], nms_iou))
+        for cands in per_class:
+            if cands:
+                kept.extend(_nms(cands, nms_iou))
         result.append(sorted(kept, key=lambda d: -d.score))
     return result
 
@@ -634,10 +653,7 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
         for lo in range(0, images.shape[0], batch):
             x = Tensor4(images[lo:lo + batch].astype(model.dtype))
             outs = model.forward(x, training=False)
-            for per_image in decode(outs, model.cfg, score_thresh, nms_iou):
-                for d in per_image:
-                    d.image_id = lo + d.image_id if isinstance(d.image_id, int) else d.image_id
-                dets.append(per_image)
+            dets.extend(decode(outs, model.cfg, score_thresh, nms_iou))
     # re-stamp image ids to dataset indices
     for i, per_image in enumerate(dets):
         for d in per_image:

@@ -94,6 +94,21 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every box row of ``a`` (m, 4) against every row of ``b`` (n, 4),
+    both as (x1, y1, x2, y2) in float64; entry [i, j] equals
+    ``iou(a[i], b[j])`` exactly, including 0 where the union is empty."""
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return out
+
+
 def iou_sensitivity(box_size: float, shifts) -> list[tuple[float, float]]:
     """IoU of an axis-aligned square against its diagonally shifted copy,
     in continuous coordinates, for each shift."""
@@ -186,6 +201,9 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
     truth matches at most one detection.  Returns (score, tp) pairs aligned
     with the detections plus the matched count.
     """
+    by_key: dict[tuple, list[int]] = {}
+    for j, gt in enumerate(gts):
+        by_key.setdefault((gt.image_id, gt.class_id), []).append(j)
     matched: set[int] = set()
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     labels: list[tuple[float, bool]] = [None] * len(dets)  # type: ignore[list-item]
@@ -193,10 +211,10 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
     for i in order:
         det = dets[i]
         best_j, best_iou = -1, 0.0
-        for j, gt in enumerate(gts):
-            if j in matched or gt.image_id != det.image_id or gt.class_id != det.class_id:
+        for j in by_key.get((det.image_id, det.class_id), ()):
+            if j in matched:
                 continue
-            v = iou(det.box, gt.box)
+            v = iou(det.box, gts[j].box)
             if v > best_iou:
                 best_j, best_iou = j, v
         if best_j >= 0 and best_iou > iou_thresh:
@@ -243,10 +261,11 @@ class ContrastRegion:
     sigma_b: float
 
 
-def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
-    """Discretize a box onto the pixel grid; the background annulus is the
-    box dilated by its own larger dimension on each side, minus the target."""
-    h, w = image.shape
+def _region_bounds(shape: tuple[int, int], box: Box) -> tuple[tuple, tuple]:
+    """Pixel bounds (x1, y1, x2, y2) of a box's target and of its window,
+    the target dilated by the box's own larger dimension on each side; both
+    are clipped to the frame."""
+    h, w = shape
     ix1 = max(int(np.floor(box.x1)), 0)
     iy1 = max(int(np.floor(box.y1)), 0)
     ix2 = min(int(np.ceil(box.x2)), w)
@@ -254,19 +273,28 @@ def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
     if ix2 <= ix1 or iy2 <= iy1:
         raise DataError(f"empty target region for box {box}")
     d = int(np.ceil(max(box.w, box.h)))
-    ox1, oy1 = max(ix1 - d, 0), max(iy1 - d, 0)
-    ox2, oy2 = min(ix2 + d, w), min(iy2 + d, h)
+    window = (max(ix1 - d, 0), max(iy1 - d, 0), min(ix2 + d, w), min(iy2 + d, h))
+    return (ix1, iy1, ix2, iy2), window
 
-    mask = np.zeros((h, w), dtype=bool)
-    mask[oy1:oy2, ox1:ox2] = True
-    tmask = np.zeros((h, w), dtype=bool)
-    tmask[iy1:iy2, ix1:ix2] = True
-    bmask = mask & ~tmask
-    if not bmask.any():
+
+def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
+    """Discretize a box onto the pixel grid; the background annulus is the
+    box dilated by its own larger dimension on each side, minus the target.
+    Pixel indices come in row-major order."""
+    (ix1, iy1, ix2, iy2), window = _region_bounds(image.shape, box)
+    if window == (ix1, iy1, ix2, iy2):
         raise DataError(f"empty background annulus for box {box}")
+    ox1, oy1, ox2, oy2 = window
 
+    # masks over the window only: the annulus never leaves it
+    tmask = np.zeros((oy2 - oy1, ox2 - ox1), dtype=bool)
+    tmask[iy1 - oy1:iy2 - oy1, ix1 - ox1:ix2 - ox1] = True
     trows, tcols = np.nonzero(tmask)
-    brows, bcols = np.nonzero(bmask)
+    brows, bcols = np.nonzero(~tmask)
+    trows += oy1
+    tcols += ox1
+    brows += oy1
+    bcols += ox1
     tvals = image[trows, tcols]
     bvals = image[brows, bcols]
     return ContrastRegion(trows, tcols, brows, bcols,
@@ -296,7 +324,8 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
     image and (b) its region contrast, normalized by the ground-truth
     region's contrast and clamped to [0, 1], reaches the threshold.
     Matching is greedy in descending score; the result is the mean of the
-    per-threshold APs.
+    per-threshold APs.  A detection whose window leaves no background pixel
+    (a box covering the frame) has no local contrast and scores 0.
     """
     if not gts:
         raise DataError("mNoCoAP undefined: no ground truth")
@@ -305,9 +334,11 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
             raise DataError(f"missing image {g.image_id!r} for ground truth")
 
     gt_noco = []
-    for g in gts:
+    by_image: dict = {}
+    for j, g in enumerate(gts):
         img = images[g.image_id]
         gt_noco.append(noco(img, build_contrast_region(img, g.box)))
+        by_image.setdefault(g.image_id, []).append(j)
 
     # candidates per detection: (gt index, normalized contrast score)
     candidates: list[list[tuple[int, float]]] = []
@@ -317,11 +348,13 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
         img = images[det.image_id]
         cands = []
         det_noco = None
-        for j, g in enumerate(gts):
-            if g.image_id != det.image_id or not g.box.contains(det.box.cx, det.box.cy):
+        for j in by_image.get(det.image_id, ()):
+            if not gts[j].box.contains(det.box.cx, det.box.cy):
                 continue
             if det_noco is None:
-                det_noco = noco(img, build_contrast_region(img, det.box))
+                target, window = _region_bounds(img.shape, det.box)
+                det_noco = (0.0 if window == target
+                            else noco(img, build_contrast_region(img, det.box)))
             denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
             score = float(np.clip(det_noco / denom, 0.0, 1.0))
             cands.append((j, score))

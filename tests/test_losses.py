@@ -9,7 +9,7 @@ from irstkit import detector as D
 from irstkit import tensor as T
 from irstkit.data import GroundTruth
 from irstkit.errors import ConfigError, NumericError
-from irstkit.metrics import Box
+from irstkit.metrics import Box, Detection
 from irstkit.tensor import Tensor4
 
 
@@ -318,7 +318,6 @@ class TestDecode:
         assert d.score == pytest.approx(1.0 / (1.0 + math.exp(-8.0)))
 
     def test_nms_keeps_higher_score(self):
-        from irstkit.metrics import Detection
         a = Detection(0, 0.9, Box(0, 0, 10, 10))
         b = Detection(0, 0.8, Box(0, 0, 10, 10))
         kept = D._nms([a, b], 0.45)
@@ -341,6 +340,91 @@ class TestDecode:
         cfg = D.ModelConfig()
         with pytest.raises(ConfigError):
             D.decode([np.zeros((1, cfg.head_channels, 12, 12))] * 3, cfg, score_thresh=0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_classes", [1, 2])
+    def test_matches_full_grid_reference(self, dtype, num_classes):
+        cfg = D.ModelConfig(num_classes=num_classes)
+        rng = np.random.default_rng(num_classes)
+        outs = [rng.normal(0, 3, (3, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)))
+                .astype(dtype) for s in range(3)]
+        outs[0][1, :num_classes] = -40.0  # one scale of one image without candidates
+        outs[2][2, :num_classes] = -40.0
+        outs[2][2, :num_classes, 1, 2] = 5.0  # a single candidate cell on a scale
+        for thresh in (0.25, 0.5, 0.9):
+            got = D.decode(outs, cfg, score_thresh=thresh)
+            want = _decode_reference(outs, cfg, thresh, 0.45)
+            assert len(got) == len(want) == 3
+            assert sum(map(len, want)) > 0
+            for g_img, w_img in zip(got, want):
+                assert ([(d.class_id, d.score, d.image_id) for d in g_img]
+                        == [(d.class_id, d.score, d.image_id) for d in w_img])
+                for g, w in zip(g_img, w_img):
+                    np.testing.assert_allclose([g.box.x1, g.box.y1, g.box.x2, g.box.y2],
+                                               [w.box.x1, w.box.y1, w.box.x2, w.box.y2],
+                                               rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("block", [D.NMS_BLOCK, 7])
+    def test_nms_matches_pairwise_greedy(self, block, monkeypatch):
+        monkeypatch.setattr(D, "NMS_BLOCK", block)
+        rng = np.random.default_rng(9)
+        dets = []
+        for i in range(60):
+            x1, y1 = rng.uniform(0, 40, 2)
+            w, h = rng.uniform(0, 15, 2) if i % 6 else (0.0, rng.uniform(0, 5))  # zero area
+            dets.append(Detection(0, float(rng.choice([0.3, 0.6, 0.9])),  # tied scores
+                                  Box(x1, y1, x1 + w, y1 + h)))
+        dets += [Detection(0, 0.6, Box(5, 5, 5, 5)), Detection(0, 0.6, Box(5, 5, 5, 5))]
+        for thresh in (0.2, 0.45, 0.7):
+            kept = D._nms(dets, thresh)
+            want = _nms_reference(dets, thresh)
+            assert [id(d) for d in kept] == [id(d) for d in want]
+        # coincident zero-area boxes have IoU 0, so neither suppresses the other
+        assert dets[-2] in kept and dets[-1] in kept
+
+    def test_nms_single_box(self):
+        only = Detection(0, 0.4, Box(1, 2, 3, 4))
+        assert D._nms([only], 0.45) == [only]
+
+
+def _nms_reference(dets, nms_iou):
+    """Greedy NMS by pairwise ``metrics.iou`` over a stable descending-score order."""
+    from irstkit.metrics import iou
+    keep = []
+    for det in sorted(dets, key=lambda d: -d.score):
+        if all(iou(det.box, k.box) < nms_iou for k in keep):
+            keep.append(det)
+    return keep
+
+
+def _decode_reference(head_outs, cfg, score_thresh, nms_iou):
+    """Decode with the bin softmax and expectation over the full grid."""
+    ncls, bins = cfg.num_classes, cfg.reg_bins
+    n = head_outs[0].shape[0]
+    raw = [[] for _ in range(n)]
+    for scale, out in enumerate(head_outs):
+        stride = cfg.strides[scale]
+        _, _, gh, gw = out.shape
+        scores = 1.0 / (1.0 + np.exp(-out[:, :ncls]))
+        reg = out[:, ncls:].reshape(n, 4, bins, gh, gw)
+        e = np.exp(reg - reg.max(axis=2, keepdims=True))
+        probs = e / e.sum(axis=2, keepdims=True)
+        dist = np.einsum("nsbhw,b->nshw", probs, np.arange(bins)) * stride
+        for b in range(n):
+            for cls in range(ncls):
+                ys, xs = np.nonzero(scores[b, cls] >= score_thresh)
+                for gy, gx in zip(ys, xs):
+                    cx, cy = (gx + 0.5) * stride, (gy + 0.5) * stride
+                    l, t, r, d = dist[b, :, gy, gx]
+                    raw[b].append(Detection(class_id=cls, score=float(scores[b, cls, gy, gx]),
+                                            box=Box(cx - l, cy - t, cx + r, cy + d), image_id=b))
+    result = []
+    for b in range(n):
+        kept = []
+        for cls in sorted({d.class_id for d in raw[b]}):
+            kept.extend(_nms_reference([d for d in raw[b] if d.class_id == cls], nms_iou))
+        result.append(sorted(kept, key=lambda d: -d.score))
+    return result
 
 
 class TestSchedule:

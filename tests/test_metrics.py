@@ -1,0 +1,305 @@
+"""Evaluation metrics: contrast regions, IoU, matching and mNoCoAP against
+full-frame and all-pairs reference implementations, plus hand-worked cases."""
+
+import numpy as np
+import pytest
+
+from irstkit import metrics as M
+from irstkit.errors import DataError
+from irstkit.metrics import Box, Detection, GTBox
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: full-frame masks and all-pairs loops
+# ---------------------------------------------------------------------------
+
+
+def region_reference(image, box):
+    h, w = image.shape
+    ix1 = max(int(np.floor(box.x1)), 0)
+    iy1 = max(int(np.floor(box.y1)), 0)
+    ix2 = min(int(np.ceil(box.x2)), w)
+    iy2 = min(int(np.ceil(box.y2)), h)
+    if ix2 <= ix1 or iy2 <= iy1:
+        raise DataError(f"empty target region for box {box}")
+    d = int(np.ceil(max(box.w, box.h)))
+    ox1, oy1 = max(ix1 - d, 0), max(iy1 - d, 0)
+    ox2, oy2 = min(ix2 + d, w), min(iy2 + d, h)
+    mask = np.zeros((h, w), dtype=bool)
+    mask[oy1:oy2, ox1:ox2] = True
+    tmask = np.zeros((h, w), dtype=bool)
+    tmask[iy1:iy2, ix1:ix2] = True
+    bmask = mask & ~tmask
+    if not bmask.any():
+        raise DataError(f"empty background annulus for box {box}")
+    trows, tcols = np.nonzero(tmask)
+    brows, bcols = np.nonzero(bmask)
+    tvals = image[trows, tcols]
+    bvals = image[brows, bcols]
+    return M.ContrastRegion(trows, tcols, brows, bcols,
+                            float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
+
+
+def match_reference(dets, gts, iou_thresh=0.5):
+    matched = set()
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    labels = [None] * len(dets)
+    n_matched = 0
+    for i in order:
+        det = dets[i]
+        best_j, best_iou = -1, 0.0
+        for j, gt in enumerate(gts):
+            if j in matched or gt.image_id != det.image_id or gt.class_id != det.class_id:
+                continue
+            v = M.iou(det.box, gt.box)
+            if v > best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0 and best_iou > iou_thresh:
+            matched.add(best_j)
+            labels[i] = (det.score, True)
+            n_matched += 1
+        else:
+            labels[i] = (det.score, False)
+    return labels, n_matched
+
+
+def mnocoap_reference(dets, gts, images, deltas=M.DEFAULT_DELTAS):
+    gt_noco = [M.noco(images[g.image_id], region_reference(images[g.image_id], g.box))
+               for g in gts]
+    candidates = []
+    for det in dets:
+        img = images[det.image_id]
+        cands = []
+        det_noco = None
+        for j, g in enumerate(gts):
+            if g.image_id != det.image_id or not g.box.contains(det.box.cx, det.box.cy):
+                continue
+            if det_noco is None:
+                det_noco = M.noco(img, region_reference(img, det.box))
+            denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
+            cands.append((j, float(np.clip(det_noco / denom, 0.0, 1.0))))
+        cands.sort(key=lambda t: (-t[1], t[0]))
+        candidates.append(cands)
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    per_delta = {}
+    for delta in deltas:
+        matched = set()
+        scored = []
+        for i in order:
+            hit = False
+            for j, nscore in candidates[i]:
+                if j in matched:
+                    continue
+                if nscore >= delta:
+                    matched.add(j)
+                    hit = True
+                break
+            scored.append((dets[i].score, hit))
+        per_delta[delta] = M.average_precision(scored, len(gts)) if scored else 0.0
+    return float(np.mean(list(per_delta.values()))), per_delta
+
+
+def random_box(rng, h, w):
+    """Fractional corners, often clipped at a frame edge or partly outside it."""
+    kind = rng.integers(0, 4)
+    bw, bh = rng.uniform(0.0, 30.0, 2)
+    if kind == 0:  # anywhere, partly outside allowed
+        x1, y1 = rng.uniform(-20.0, w + 5.0), rng.uniform(-20.0, h + 5.0)
+    elif kind == 1:  # touching or crossing one of the four edges
+        x1, y1 = rng.uniform(0.0, w - 1.0), rng.uniform(0.0, h - 1.0)
+        edge = rng.integers(0, 4)
+        if edge == 0:
+            x1 = -rng.uniform(0.0, bw)
+        elif edge == 1:
+            y1 = -rng.uniform(0.0, bh)
+        elif edge == 2:
+            x1 = w - rng.uniform(0.0, bw)
+        else:
+            y1 = h - rng.uniform(0.0, bh)
+    elif kind == 2:  # integer corners
+        x1, y1 = float(rng.integers(-5, w)), float(rng.integers(-5, h))
+        bw, bh = float(rng.integers(0, 20)), float(rng.integers(0, 20))
+    else:  # covering most or all of the frame
+        x1, y1 = rng.uniform(-10.0, 5.0, 2)
+        bw, bh = rng.uniform(w - 10.0, w + 20.0), rng.uniform(h - 10.0, h + 20.0)
+    return Box(x1, y1, x1 + bw, y1 + bh)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return ("DataError", str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Contrast regions
+# ---------------------------------------------------------------------------
+
+
+class TestContrastRegion:
+    def test_matches_full_frame_reference(self):
+        rng = np.random.default_rng(11)
+        image = rng.normal(10.0, 2.0, (48, 64))
+        errors = {"target": 0, "annulus": 0}
+        for _ in range(3000):
+            box = random_box(rng, *image.shape)
+            got = outcome(M.build_contrast_region, image, box)
+            want = outcome(region_reference, image, box)
+            if isinstance(want, tuple):
+                assert got == want
+                errors["target" if "target" in want[1] else "annulus"] += 1
+                continue
+            for name in ("target_rows", "target_cols", "background_rows", "background_cols"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            assert (got.mu_t, got.mu_b, got.sigma_b) == (want.mu_t, want.mu_b, want.sigma_b)
+        # the sample reaches both error paths
+        assert errors["target"] > 0 and errors["annulus"] > 0
+
+    def test_empty_target_raises(self):
+        with pytest.raises(DataError, match="empty target region"):
+            M.build_contrast_region(np.zeros((20, 20)), Box(25.0, 3.0, 30.0, 8.0))
+
+    def test_frame_covering_box_has_empty_annulus(self):
+        with pytest.raises(DataError, match="empty background annulus"):
+            M.build_contrast_region(np.zeros((20, 20)), Box(-1.0, 0.0, 20.0, 20.5))
+
+
+# ---------------------------------------------------------------------------
+# IoU
+# ---------------------------------------------------------------------------
+
+
+class TestIoUMatrix:
+    def test_equals_scalar_iou(self):
+        rng = np.random.default_rng(3)
+        raw = rng.uniform(0.0, 20.0, (40, 4))
+        raw[:, 2:] = raw[:, :2] + rng.uniform(0.0, 8.0, (40, 2))
+        raw[::7, 2] = raw[::7, 0]   # zero width
+        raw[1::9, 2:] = raw[1::9, :2]  # points
+        boxes = [Box(*r) for r in raw]
+        got = M.iou_matrix(raw[:25], raw)
+        want = np.array([[M.iou(a, b) for b in boxes] for a in boxes[:25]])
+        assert np.array_equal(got, want)
+
+    def test_two_zero_area_boxes_give_zero(self):
+        pts = np.array([[1.0, 1.0, 1.0, 1.0]])
+        assert M.iou_matrix(pts, pts)[0, 0] == 0.0 == M.iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Matching and mNoCoAP
+# ---------------------------------------------------------------------------
+
+
+def random_eval_set(seed):
+    """Three 64 px frames, two classes, clustered detections with tied scores."""
+    rng = np.random.default_rng(seed)
+    images, gts, dets = {}, [], []
+    for image_id in ("a", 0, 1):
+        img = rng.normal(1.0, 0.2, (64, 64))
+        for _ in range(4):
+            cx, cy = rng.uniform(12.0, 52.0, 2)
+            side = rng.uniform(3.0, 8.0)
+            box = Box.from_center(cx, cy, side, side)
+            rows = slice(int(box.y1), int(np.ceil(box.y2)))
+            img[rows, int(box.x1):int(np.ceil(box.x2))] += rng.uniform(0.5, 3.0)
+            gts.append(GTBox(image_id, int(rng.integers(0, 2)), box))
+            for _ in range(3):
+                jitter = box.shifted(*rng.normal(0.0, 1.5, 2))
+                scale = rng.uniform(0.6, 1.6)
+                score = float(rng.choice([0.3, 0.5, 0.7, 0.9]))  # ties
+                box_d = Box.from_center(jitter.cx, jitter.cy, side * scale, side * scale)
+                dets.append(Detection(int(rng.integers(0, 2)), score, box_d, image_id))
+        for _ in range(3):
+            cx, cy = rng.uniform(8.0, 56.0, 2)
+            dets.append(Detection(int(rng.integers(0, 2)), float(rng.choice([0.3, 0.5])),
+                                  Box.from_center(cx, cy, 5.0, 5.0), image_id))
+        images[image_id] = img
+    return dets, gts, images
+
+
+class TestMatching:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_all_pairs_reference(self, seed):
+        dets, gts, _ = random_eval_set(seed)
+        for thresh in (0.1, 0.3, 0.5):
+            assert M.match_detections(dets, gts, thresh) == match_reference(dets, gts, thresh)
+
+    def test_hand_worked(self):
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(20, 0, 30, 10)),
+               GTBox(1, 1, Box(0, 0, 10, 10))]
+        dets = [
+            Detection(0, 0.9, Box(0, 0, 10, 10), 0),   # takes gt 0
+            Detection(0, 0.9, Box(1, 0, 11, 10), 0),   # tied score, later: gt 0 taken -> FP
+            Detection(1, 0.8, Box(0, 0, 10, 10), 0),   # no class-1 truth in image 0
+            Detection(0, 0.7, Box(0, 0, 10, 10), 1),   # no class-0 truth in image 1
+            Detection(1, 0.6, Box(0, 0, 10, 10), 1),   # takes gt 2
+        ]
+        labels, n = M.match_detections(dets, gts)
+        assert n == 2
+        assert labels == [(0.9, True), (0.9, False), (0.8, False), (0.7, False), (0.6, True)]
+
+    def test_equal_iou_goes_to_first_truth(self):
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(10, 0, 20, 10))]
+        dets = [Detection(0, 0.9, Box(5, 0, 15, 10)), Detection(0, 0.8, Box(0, 0, 10, 10))]
+        # both IoUs of the first detection are 50 / 150; the first truth wins
+        labels, n = M.match_detections(dets, gts, iou_thresh=0.3)
+        assert labels == [(0.9, True), (0.8, False)] and n == 1
+
+
+def flat_scene():
+    """32 px frame of ones with a 3x6 block of 3s at columns 13-15, rows 10-15.
+
+    Every region below holds the whole block in its target, so each annulus
+    is flat (sigma guarded to 1e-6) and each normalized contrast is the
+    ratio of target-mean excesses over 1.
+    """
+    img = np.ones((32, 32))
+    img[10:16, 13:16] = 3.0
+    gts = [GTBox(0, 0, Box(13, 10, 17, 16)),   # j=0: excess 18*2/24 = 1.5
+           GTBox(0, 0, Box(10, 10, 16, 16))]   # j=1: excess 18*2/36 = 1.0
+    return img, gts
+
+
+class TestMNoCoAP:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_all_pairs_reference(self, seed):
+        dets, gts, images = random_eval_set(seed)
+        assert M.mnocoap(dets, gts, images) == mnocoap_reference(dets, gts, images)
+
+    def test_takes_best_unmatched_candidate(self):
+        img, gts = flat_scene()
+        dets = [
+            # centre (14, 13) in both truths; excess 1.0: 1.0 against j=1, 0.667 against j=0
+            Detection(0, 0.9, Box(11, 10, 17, 16)),
+            # centre (16.5, 13) in j=0 only; excess 18*2/42: 0.571 against j=0
+            Detection(0, 0.8, Box(13, 10, 20, 16)),
+            # centre (12.5, 13) in j=1 only, which the first detection took
+            Detection(0, 0.7, Box(9, 10, 16, 16)),
+        ]
+        value, per_delta = M.mnocoap(dets, gts, {0: img})
+        for delta, ap in per_delta.items():
+            assert ap == (1.0 if delta <= 0.5 else 0.5), delta
+        assert value == pytest.approx(7.0 / 9.0, abs=1e-15)
+
+    def test_frame_covering_detection_scores_zero(self):
+        img = np.random.default_rng(0).normal(1.0, 0.1, (96, 96))
+        img[40:56, 40:56] += 2.0
+        gts = [GTBox(0, 0, Box(40, 40, 56, 56))]
+        hit = Detection(0, 0.5, Box(40, 40, 56, 56))
+        cover = Detection(0, 0.9, Box(0, 0, 96, 96))
+        value, per_delta = M.mnocoap([cover], gts, {0: img})
+        assert value == 0.0 and set(per_delta.values()) == {0.0}
+        # the covering box takes no truth: the lower-scored exact box still hits
+        _, per_delta = M.mnocoap([cover, hit], gts, {0: img})
+        assert set(per_delta.values()) == {0.5}
+        report = M.evaluate_detections([cover, hit], gts, {0: img})
+        assert report.mnocoap == 0.5
+
+    def test_truth_with_empty_annulus_raises(self):
+        gts = [GTBox(0, 0, Box(0, 0, 96, 96))]
+        with pytest.raises(DataError, match="empty background annulus"):
+            M.mnocoap([Detection(0, 0.9, Box(40, 40, 56, 56))], gts, {0: np.ones((96, 96))})
