@@ -21,7 +21,7 @@ import numpy as np
 
 from . import complexity
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ParseError, ShapeError
 from .tensor import ParamTensor, RunningStats, Tensor4
 
 
@@ -604,8 +604,14 @@ def load_checkpoint(module: Module, path_prefix) -> None:
     arrays: dict[str, np.ndarray] = {}
     with open(f"{path_prefix}.manifest") as fh:
         manifest = [line.split() for line in fh if line.strip()]
+    for fields in manifest:
+        if len(fields) != 6 or not fields[5].isdigit():
+            raise ParseError(f"{path_prefix}.manifest: bad line {' '.join(fields)!r}")
     with open(f"{path_prefix}.bin", "rb") as fh:
         for name, *_, offset in manifest:
             fh.seek(int(offset))
             arrays[name] = T.read_snapshot(fh)
+    for name, _ in module.state_arrays():
+        if name not in arrays:
+            raise DataError(f"{path_prefix}.manifest has no tensor {name!r}")
     module.load_state(arrays)

@@ -10,7 +10,6 @@ executed without an accounting rule and raises instead of under-counting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +28,6 @@ def count_conv(c_in: int, c_out: int, k: int, h_out: int, w_out: int,
     if bias:
         flops += c_out * h_out * w_out
     return params, flops
-
-
-def count_pconv(c: int, r: float, k: int, h: int, w: int) -> tuple[int, int, float]:
-    """Cost of a partial convolution over ceil(r*c) channels, plus its flop
-    ratio against a full k x k convolution at width c."""
-    if not (0.0 < r <= 1.0):
-        raise ConfigError(f"partial ratio must be in (0, 1], got {r}")
-    cp = int(math.ceil(r * c))
-    params, flops = count_conv(cp, cp, k, h, w)
-    _, std_flops = count_conv(c, c, k, h, w)
-    return params, flops, flops / std_flops
 
 
 @dataclass

@@ -217,11 +217,13 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError:
         raise ParseError(f"{path}: malformed PGM header") from None
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: bad PGM size {w}x{h}")
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    if data.size != w * h:
+    if len(raw) - pos < w * h:
         raise ParseError(f"{path}: truncated pixel data")
+    data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     return data.reshape(h, w).astype(np.float64) / 255.0
 
 

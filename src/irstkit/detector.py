@@ -83,11 +83,6 @@ class ModelConfig:
         return self.input_size // self.strides[scale]
 
 
-def tiny_config(**overrides) -> ModelConfig:
-    """Desk-scale default: 96x96 input, widths 8/16/32/64."""
-    return ModelConfig(**overrides)
-
-
 def paper_scale_config() -> ModelConfig:
     """640x640 configuration with full-scale stage widths, used by the
     complexity accounting to bracket production-size cost totals."""
@@ -109,7 +104,7 @@ class LossWeights:
 @dataclass
 class TrainConfig:
     batch: int = 16
-    epochs: int = 1
+    epochs: int = 100
     lr0: float = 0.001
     lr_final_fraction: float = 0.5
     momentum: float = 0.937
@@ -209,10 +204,6 @@ class Detector(Module):
         m4 = self.fuse_m4(T.concat_channels([self.down_34(t3, **kw), t4]), **kw)
         m5 = self.fuse_m5(T.concat_channels([self.down_45(m4, **kw), c5]), **kw)
         return [self.heads[0](t3, **kw), self.heads[1](m4, **kw), self.heads[2](m5, **kw)]
-
-
-def build_model(cfg: ModelConfig, init_seed: int = 7, dtype=np.float64) -> Detector:
-    return Detector(cfg, init_seed=init_seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

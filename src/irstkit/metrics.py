@@ -1,5 +1,5 @@
 """Detection evaluation: IoU, precision/recall/F1, PR-curve AP, mAP@50,
-contrast-based AP (NoCo), and the IoU shift-sensitivity analyzer.
+and contrast-based AP (NoCo).
 
 All operations are pure functions with deterministic, order-fixed
 aggregation.  Boxes are axis-aligned with corner and center-size views.
@@ -8,11 +8,12 @@ aggregation.  Boxes are axis-aligned with corner and center-size views.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +110,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def iou_sensitivity(box_size: float, shifts) -> list[tuple[float, float]]:
-    """IoU of an axis-aligned square against its diagonally shifted copy,
-    in continuous coordinates, for each shift."""
-    if box_size < 1:
-        raise DataError(f"box_size must be >= 1, got {box_size}")
-    out = []
-    for d in shifts:
-        side = max(box_size - d, 0.0)
-        inter = side * side
-        union = 2.0 * box_size * box_size - inter
-        out.append((float(d), inter / union))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Confusion counts and PR curves
 # ---------------------------------------------------------------------------
@@ -133,7 +120,6 @@ class ConfusionCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    tn: int = 0  # unused by P/R/F1, retained for completeness
 
 
 def prf1(counts: ConfusionCounts) -> tuple[float, float, float]:
@@ -226,21 +212,27 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
     return labels, n_matched
 
 
-def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> float:
-    """Mean AP over the classes present in the ground truth (IoU > 0.5 match)."""
+def _mean_class_ap(dets: list[Detection], labels: list[tuple[float, bool]],
+                   gts: list[GTBox]) -> float:
+    """Mean AP over the classes present in the ground truth, from the
+    ``match_detections`` labels of ``dets``; matching never crosses classes,
+    so one pass over all classes labels each class as a per-class pass would."""
     if not gts:
         raise DataError("mAP undefined: no ground truth at all")
-    classes = sorted({g.class_id for g in gts})
-    aps = []
-    for cls in classes:
-        cls_gts = [g for g in gts if g.class_id == cls]
-        cls_dets = [d for d in dets if d.class_id == cls]
-        labels, _ = match_detections(cls_dets, cls_gts, iou_thresh)
-        aps.append(average_precision(labels, len(cls_gts)))
-    orphan = sorted({d.class_id for d in dets} - set(classes))
+    n_gt = Counter(g.class_id for g in gts)
+    aps = [average_precision([lab for d, lab in zip(dets, labels) if d.class_id == cls],
+                             n_gt[cls])
+           for cls in sorted(n_gt)]
+    orphan = sorted({d.class_id for d in dets}.difference(n_gt))
     if orphan:
         warnings.warn(f"classes {orphan} have detections but no ground truth; skipped")
     return float(np.mean(aps))
+
+
+def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> float:
+    """Mean AP over the classes present in the ground truth (IoU > 0.5 match)."""
+    labels, _ = match_detections(dets, gts, iou_thresh)
+    return _mean_class_ap(dets, labels, gts)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +293,10 @@ def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
                           float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
 
 
-def noco(image: np.ndarray, region: ContrastRegion) -> float:
-    """Normalized contrast (mu_T - mu_B) / sigma_B with sigma guarded at 1e-6."""
-    if region.target_rows.size == 0:
-        raise DataError("empty target region")
-    mu_t = float(image[region.target_rows, region.target_cols].mean())
-    bvals = image[region.background_rows, region.background_cols]
-    mu_b = float(bvals.mean())
-    sigma = max(float(bvals.std()), 1e-6)
-    return (mu_t - mu_b) / sigma
+def noco(region: ContrastRegion) -> float:
+    """Normalized contrast (mu_T - mu_B) / sigma_B from the region's gray
+    stats, with sigma guarded at 1e-6."""
+    return (region.mu_t - region.mu_b) / max(region.sigma_b, 1e-6)
 
 
 DEFAULT_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -337,7 +324,7 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
     by_image: dict = {}
     for j, g in enumerate(gts):
         img = images[g.image_id]
-        gt_noco.append(noco(img, build_contrast_region(img, g.box)))
+        gt_noco.append(noco(build_contrast_region(img, g.box)))
         by_image.setdefault(g.image_id, []).append(j)
 
     # candidates per detection: (gt index, normalized contrast score)
@@ -354,7 +341,7 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
             if det_noco is None:
                 target, window = _region_bounds(img.shape, det.box)
                 det_noco = (0.0 if window == target
-                            else noco(img, build_contrast_region(img, det.box)))
+                            else noco(build_contrast_region(img, det.box)))
             denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
             score = float(np.clip(det_noco / denom, 0.0, 1.0))
             cands.append((j, score))
@@ -433,7 +420,7 @@ def evaluate_detections(dets: list[Detection], gts: list[GTBox],
     counts = ConfusionCounts(tp=n_matched, fp=len(dets) - n_matched,
                              fn=len(gts) - n_matched)
     p, r, f1 = prf1(counts)
-    m = map50(dets, gts, iou_thresh)
+    m = _mean_class_ap(dets, labels, gts)
     curve = pr_curve(labels, max(len(gts), 1))
     if images is not None:
         value, per_delta = mnocoap(dets, gts, images)

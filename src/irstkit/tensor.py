@@ -110,9 +110,6 @@ class Tensor4:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor4":
-        return Tensor4(self.data.copy())
-
     def __repr__(self) -> str:
         tag = f" '{self.name}'" if self.name else ""
         return f"Tensor4{tag}{self.shape} dtype={self.data.dtype}"
@@ -143,9 +140,6 @@ class Tensor4:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 @dataclass
@@ -735,60 +729,29 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
 
         return _make(out, "conv2d", inputs, back_dw)
 
-    if groups == 1:
-        view, ho, wo = _patches(xp, k, stride)
-        cols = view.reshape(n, c_in * k * k, ho * wo)
-        wmat = weight.data.reshape(c_out, c_in * k * k)
-        out = np.matmul(wmat, cols).reshape(n, c_out, ho, wo)
-        if bias is not None:
-            out = out + bias.data.reshape(1, c_out, 1, 1)
-
-        need_x = x.requires_grad
-
-        def back(g):
-            go = g.reshape(n, c_out, ho * wo)
-            gw = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.data.shape)
-            gx = None
-            if need_x:
-                grad_cols = np.matmul(wmat.T, go).reshape(n, c_in, k, k, ho, wo)
-                gxp = _col2im(grad_cols, xp.shape, k, stride, ho, wo)
-                gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
-            gb = g.sum(axis=(0, 2, 3)).reshape(bias.data.shape) if bias is not None else None
-            return (gx, gw, gb) if bias is not None else (gx, gw)
-
-        return _make(out, "conv2d", inputs, back)
-
-    # general grouped path
+    # one batched matmul over groups; groups == 1 is its one-group case
     cg, cog = c_in // groups, c_out // groups
     view, ho, wo = _patches(xp, k, stride)
-    outs = []
-    cols_list = []
-    for gidx in range(groups):
-        cols = view[:, gidx * cg:(gidx + 1) * cg].reshape(n, cg * k * k, ho * wo)
-        wmat = weight.data[gidx * cog:(gidx + 1) * cog].reshape(cog, cg * k * k)
-        outs.append(np.matmul(wmat, cols))
-        cols_list.append(cols)
-    out = np.concatenate(outs, axis=1).reshape(n, c_out, ho, wo)
+    cols = view.reshape(n, groups, cg * k * k, ho * wo)
+    wmat = weight.data.reshape(groups, cog, cg * k * k)
+    out = np.matmul(wmat, cols).reshape(n, c_out, ho, wo)
     if bias is not None:
         out = out + bias.data.reshape(1, c_out, 1, 1)
 
-    def back_grouped(g):
-        go = g.reshape(n, c_out, ho * wo)
-        gw = np.zeros_like(weight.data)
-        gxp = np.zeros(xp.shape, dtype=g.dtype)
-        for gi in range(groups):
-            gog = go[:, gi * cog:(gi + 1) * cog]
-            wmat = weight.data[gi * cog:(gi + 1) * cog].reshape(cog, cg * k * k)
-            gw[gi * cog:(gi + 1) * cog] = np.einsum(
-                "nol,nkl->ok", gog, cols_list[gi], optimize=True).reshape(cog, cg, k, k)
-            grad_cols = np.matmul(wmat.T, gog).reshape(n, cg, k, k, ho, wo)
-            gxp[:, gi * cg:(gi + 1) * cg] = _col2im(
-                grad_cols, (n, cg) + xp.shape[2:], k, stride, ho, wo)
-        gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
+    need_x = x.requires_grad
+
+    def back(g):
+        go = g.reshape(n, groups, cog, ho * wo)
+        gw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape)
+        gx = None
+        if need_x:
+            grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, c_in, k, k, ho, wo)
+            gxp = _col2im(grad_cols, xp.shape, k, stride, ho, wo)
+            gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
         gb = g.sum(axis=(0, 2, 3)).reshape(bias.data.shape) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
-    return _make(out, "conv2d", inputs, back_grouped)
+    return _make(out, "conv2d", inputs, back)
 
 
 def depthwise_conv2d(x: Tensor4, weight: Tensor4, stride: int = 1, pad: int = 0) -> Tensor4:
@@ -1032,19 +995,24 @@ def write_snapshot(fh, array: np.ndarray) -> int:
     return len(header) + len(payload)
 
 
+def _read_exact(fh, size: int, part: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ParseError(f"truncated snapshot {part}")
+    return raw
+
+
 def read_snapshot(fh) -> np.ndarray:
     """Read one tensor record written by write_snapshot."""
     magic = fh.read(4)
     if magic != SNAPSHOT_MAGIC:
         raise ParseError(f"bad snapshot magic {magic!r}")
-    (version,) = struct.unpack("<I", fh.read(4))
+    (version,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}")
-    dims = struct.unpack("<4Q", fh.read(32))
+    dims = struct.unpack("<4Q", _read_exact(fh, 32, "header"))
     count = int(np.prod(dims))
-    payload = fh.read(count * 4)
-    if len(payload) != count * 4:
-        raise ParseError("truncated snapshot payload")
+    payload = _read_exact(fh, count * 4, "payload")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
 
 

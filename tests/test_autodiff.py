@@ -98,6 +98,15 @@ class TestPrimitiveGradients:
         w = rand_tensor((6, 2, 3, 3))
         fd_check(lambda xx, ww: projected(T.conv2d(xx, ww, pad=1, groups=2)), [x, w])
 
+    def test_conv2d_grouped_strided_with_bias(self):
+        # a local generator keeps the shared RNG's draws for later tests unchanged
+        rng = np.random.default_rng(11)
+        x, w, b = (T.Tensor4(rng.standard_normal(s), requires_grad=True)
+                   for s in ((2, 4, 7, 7), (6, 2, 3, 3), (1, 6, 1, 1)))
+        fd_check(lambda xx, ww, bb: projected(T.conv2d(xx, ww, bias=bb, stride=2, pad=1,
+                                                       groups=2)),
+                 [x, w, b])
+
     def test_depthwise_conv2d(self):
         x = rand_tensor((1, 4, 6, 6))
         w = rand_tensor((4, 1, 3, 3))

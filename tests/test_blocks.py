@@ -5,7 +5,7 @@ import pytest
 
 from irstkit import blocks as B
 from irstkit import tensor as T
-from irstkit.errors import ConfigError
+from irstkit.errors import ConfigError, DataError, ParseError
 from irstkit.tensor import Tensor4
 
 RNG = np.random.default_rng(7)
@@ -430,3 +430,22 @@ class TestCheckpoint:
         assert "gs.cbs.bn.running_mean" in names
         offsets = [int(ln.split()[-1]) for ln in lines]
         assert offsets == sorted(offsets) and offsets[0] == 0
+
+    def test_missing_tensor_raises_data_error(self, tmp_path):
+        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
+        B.save_checkpoint(blk, tmp_path / "w")
+        manifest = tmp_path / "w.manifest"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(ln for ln in lines
+                                      if not ln.startswith("gs.cbs.bn.running_var ")) + "\n")
+        with pytest.raises(DataError, match="gs.cbs.bn.running_var"):
+            B.load_checkpoint(blk, tmp_path / "w")
+
+    @pytest.mark.parametrize("line", ["gs.cbs.conv.weight", "gs.cbs.conv.weight 1 2 3 4 x"])
+    def test_malformed_manifest_line_raises_parse_error(self, tmp_path, line):
+        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
+        B.save_checkpoint(blk, tmp_path / "w")
+        manifest = tmp_path / "w.manifest"
+        manifest.write_text(line + "\n" + manifest.read_text())
+        with pytest.raises(ParseError):
+            B.load_checkpoint(blk, tmp_path / "w")

@@ -450,6 +450,10 @@ class TestSchedule:
         lrs = [D.lr_schedule(s, 100, 10, tc)[0] for s in range(30, 100)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
+    def test_default_config_is_valid(self):
+        tc = D.TrainConfig()
+        assert tc.warmup_epochs <= tc.epochs
+
 
 class TestAdamW:
     def test_quadratic_converges_within_200_steps(self):

@@ -3,6 +3,9 @@ full-frame and all-pairs reference implementations, plus hand-worked cases."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from irstkit import metrics as M
 from irstkit.errors import DataError
@@ -64,7 +67,7 @@ def match_reference(dets, gts, iou_thresh=0.5):
 
 
 def mnocoap_reference(dets, gts, images, deltas=M.DEFAULT_DELTAS):
-    gt_noco = [M.noco(images[g.image_id], region_reference(images[g.image_id], g.box))
+    gt_noco = [M.noco(region_reference(images[g.image_id], g.box))
                for g in gts]
     candidates = []
     for det in dets:
@@ -75,7 +78,7 @@ def mnocoap_reference(dets, gts, images, deltas=M.DEFAULT_DELTAS):
             if g.image_id != det.image_id or not g.box.contains(det.box.cx, det.box.cy):
                 continue
             if det_noco is None:
-                det_noco = M.noco(img, region_reference(img, det.box))
+                det_noco = M.noco(region_reference(img, det.box))
             denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
             cands.append((j, float(np.clip(det_noco / denom, 0.0, 1.0))))
         cands.sort(key=lambda t: (-t[1], t[0]))
@@ -188,6 +191,16 @@ class TestIoUMatrix:
         pts = np.array([[1.0, 1.0, 1.0, 1.0]])
         assert M.iou_matrix(pts, pts)[0, 0] == 0.0 == M.iou(Box(1, 1, 1, 1), Box(1, 1, 1, 1))
 
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(4)),
+                  elements=st.floats(-50.0, 50.0, allow_subnormal=False)))
+    def test_symmetric_bounded_and_equal_to_iou(self, raw):
+        raw[:, 2:] = np.maximum(raw[:, 2:], raw[:, :2])  # corners in order
+        got = M.iou_matrix(raw, raw)
+        assert np.array_equal(got, got.T)
+        assert ((got >= 0.0) & (got <= 1.0)).all()
+        boxes = [Box(*r) for r in raw]
+        assert np.array_equal(got, [[M.iou(a, b) for b in boxes] for a in boxes])
+
 
 # ---------------------------------------------------------------------------
 # Matching and mNoCoAP
@@ -241,6 +254,26 @@ class TestMatching:
         labels, n = M.match_detections(dets, gts)
         assert n == 2
         assert labels == [(0.9, True), (0.9, False), (0.8, False), (0.7, False), (0.6, True)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_map50_equals_per_class_matching(self, seed):
+        dets, gts, images = random_eval_set(seed)
+        aps = []
+        for cls in sorted({g.class_id for g in gts}):
+            cls_gts = [g for g in gts if g.class_id == cls]
+            labels, _ = match_reference([d for d in dets if d.class_id == cls], cls_gts)
+            aps.append(M.average_precision(labels, len(cls_gts)))
+        want = float(np.mean(aps))
+        assert M.map50(dets, gts) == want
+        assert M.evaluate_detections(dets, gts, images).map50 == want
+
+    def test_class_without_truth_is_skipped_with_warning(self):
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10))]
+        dets = [Detection(0, 0.9, Box(0, 0, 10, 10)), Detection(3, 0.8, Box(0, 0, 10, 10))]
+        with pytest.warns(UserWarning, match=r"classes \[3\]"):
+            assert M.map50(dets, gts) == 1.0
+        with pytest.warns(UserWarning, match=r"classes \[3\]"):
+            assert M.evaluate_detections(dets, gts).map50 == 1.0
 
     def test_equal_iou_goes_to_first_truth(self):
         gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(10, 0, 20, 10))]

@@ -9,10 +9,12 @@ from irstkit import tensor as T
 from irstkit.errors import ConfigError, NumericError, ParseError, ShapeError
 
 
-def naive_conv2d(x, w, stride=1, pad=0):
-    """Direct six-nested-loop cross-correlation, the independent oracle."""
+def naive_conv2d(x, w, stride=1, pad=0, groups=1):
+    """Direct six-nested-loop cross-correlation, the independent oracle.
+    Output channel o reads the input channels of its group, o // (c_out / groups)."""
     n, c_in, h, wd = x.shape
-    c_out, _, k, _ = w.shape
+    c_out, c_in_g, k, _ = w.shape
+    cog = c_out // groups
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wd + 2 * pad - k) // stride + 1
@@ -22,10 +24,11 @@ def naive_conv2d(x, w, stride=1, pad=0):
             for i in range(ho):
                 for j in range(wo):
                     acc = 0.0
-                    for ci in range(c_in):
+                    for ci in range(c_in_g):
+                        cx = (o // cog) * c_in_g + ci
                         for ki in range(k):
                             for kj in range(k):
-                                acc += xp[b, ci, i * stride + ki, j * stride + kj] * w[o, ci, ki, kj]
+                                acc += xp[b, cx, i * stride + ki, j * stride + kj] * w[o, ci, ki, kj]
                     out[b, o, i, j] = acc
     return out
 
@@ -58,6 +61,16 @@ class TestConv2d:
         w = rng.standard_normal((4, 3, 3, 3))
         out = T.conv2d(T.Tensor4(x), T.Tensor4(w), stride=2, pad=1)
         np.testing.assert_allclose(out.data, naive_conv2d(x, w, stride=2, pad=1), atol=1e-10)
+
+    def test_grouped_strided_with_bias_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 4, 7, 7))
+        w = rng.standard_normal((6, 2, 3, 3))
+        b = rng.standard_normal(6)
+        out = T.conv2d(T.Tensor4(x), T.Tensor4(w), bias=T.Tensor4.vector(b),
+                       stride=2, pad=1, groups=2)
+        ref = naive_conv2d(x, w, stride=2, pad=1, groups=2) + b.reshape(1, 6, 1, 1)
+        np.testing.assert_allclose(out.data, ref, atol=1e-10)
 
     def test_bias_added_per_channel(self):
         rng = np.random.default_rng(4)
@@ -374,3 +387,10 @@ class TestSnapshotFormat:
     def test_bad_magic_raises(self):
         with pytest.raises(ParseError):
             T.read_snapshot(io.BytesIO(b"XXXX" + b"\x00" * 64))
+
+    @pytest.mark.parametrize("cut", [6, 8, 20, 39, 40 + 24 * 4 - 1])
+    def test_truncated_record_raises(self, cut):
+        buf = io.BytesIO()
+        T.write_snapshot(buf, np.zeros((1, 2, 3, 4), dtype=np.float32))
+        with pytest.raises(ParseError, match="truncated"):
+            T.read_snapshot(io.BytesIO(buf.getvalue()[:cut]))
