@@ -31,10 +31,13 @@ from .tensor import ParamTensor, RunningStats, Tensor4
 
 
 class Module:
-    """Named container of parameters, buffers, and child modules."""
+    """Named container of parameters, buffers, and child modules.  A call
+    checks the input width against ``in_channels`` (when set), runs
+    ``forward``, then records ``cost`` as this module's cost-tape row."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, in_channels: int | None = None):
         self.name = name
+        self.in_channels = in_channels
         self._children: list[Module] = []
         self._local_params: list[ParamTensor] = []
         self._buffers: list[tuple[str, RunningStats]] = []
@@ -50,42 +53,38 @@ class Module:
         return p
 
     def parameters(self) -> list[ParamTensor]:
-        out = list(self._local_params)
-        for c in self._children:
-            out.extend(c.parameters())
-        return out
+        return [p for m in self.sublayers() for p in m._local_params]
 
     def num_scalars(self) -> int:
         return sum(p.value.data.size for p in self.parameters())
 
     def sublayers(self):
+        """This module and its descendants in pre-order (checkpoint order)."""
         yield self
         for c in self._children:
             yield from c.sublayers()
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Ordered (name, rank-4 array) pairs: parameters then stat buffers."""
-        out = [(p.value.name, p.value.data) for p in self._local_params]
-        for bname, stats in self._buffers:
-            c = stats.mean.shape[0]
-            out.append((f"{bname}.running_mean", stats.mean.reshape(1, c, 1, 1)))
-            out.append((f"{bname}.running_var", stats.var.reshape(1, c, 1, 1)))
-        for child in self._children:
-            out.extend(child.state_arrays())
+        """(name, rank-4 array) pairs, per module: parameters then stat buffers."""
+        out = []
+        for m in self.sublayers():
+            out += [(p.value.name, p.value.data) for p in m._local_params]
+            for bname, stats in m._buffers:
+                out.append((f"{bname}.running_mean", stats.mean.reshape(1, -1, 1, 1)))
+                out.append((f"{bname}.running_var", stats.var.reshape(1, -1, 1, 1)))
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self._local_params:
-            src = arrays[p.value.name]
-            if src.shape != p.value.data.shape:
-                raise ShapeError(f"{p.value.name}: checkpoint shape {src.shape} "
-                                 f"!= model shape {p.value.data.shape}")
-            p.value.data = src.astype(p.value.data.dtype)
-        for bname, stats in self._buffers:
-            stats.mean = arrays[f"{bname}.running_mean"].reshape(-1).astype(np.float64)
-            stats.var = arrays[f"{bname}.running_var"].reshape(-1).astype(np.float64)
-        for child in self._children:
-            child.load_state(arrays)
+        for m in self.sublayers():
+            for p in m._local_params:
+                src = arrays[p.value.name]
+                if src.shape != p.value.data.shape:
+                    raise ShapeError(f"{p.value.name}: checkpoint shape {src.shape} "
+                                     f"!= model shape {p.value.data.shape}")
+                p.value.data = src.astype(p.value.data.dtype)
+            for bname, stats in m._buffers:
+                stats.mean = arrays[f"{bname}.running_mean"].reshape(-1).astype(np.float64)
+                stats.var = arrays[f"{bname}.running_var"].reshape(-1).astype(np.float64)
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -98,8 +97,21 @@ class Module:
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
         raise NotImplementedError
 
+    def cost(self, x: Tensor4, out: Tensor4) -> tuple[int, int] | None:
+        """(params, flops) of this call's own work, excluding children;
+        None for modules whose work is all in their children."""
+        return None
+
     def __call__(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        return self.forward(x, training=training, seed=seed)
+        if self.in_channels is not None and x.shape[1] != self.in_channels:
+            raise ShapeError(f"{self.name}: expected {self.in_channels} channels, "
+                             f"got {x.shape[1]}")
+        out = self.forward(x, training=training, seed=seed)
+        if complexity.tape_active():
+            cost = self.cost(x, out)
+            if cost is not None:
+                complexity.record_cost(self.name, *cost)
+        return out
 
 
 class Conv2dLayer(Module):
@@ -130,15 +142,14 @@ class Conv2dLayer(Module):
                 (w + 2 * self.pad - self.k) // self.stride + 1)
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        out = T.conv2d(x, self.weight.value,
-                       bias=self.bias.value if self.bias else None,
-                       stride=self.stride, pad=self.pad, groups=self.groups)
-        if complexity.tape_active():
-            p, f = complexity.count_conv(self.c_in, self.c_out, self.k,
-                                         out.shape[2], out.shape[3],
-                                         groups=self.groups, bias=self.has_bias)
-            complexity.record_cost(self.name, p, f, unique_key=id(self))
-        return out
+        return T.conv2d(x, self.weight.value,
+                        bias=self.bias.value if self.bias else None,
+                        stride=self.stride, pad=self.pad, groups=self.groups)
+
+    def cost(self, x, out):
+        return complexity.count_conv(self.c_in, self.c_out, self.k,
+                                     out.shape[2], out.shape[3],
+                                     groups=self.groups, bias=self.has_bias)
 
 
 class BatchNormLayer(Module):
@@ -151,10 +162,11 @@ class BatchNormLayer(Module):
         self._buffers.append((name, self.stats))
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        if complexity.tape_active():
-            complexity.record_cost(self.name, 2 * self.c, 0, unique_key=id(self))
         return T.batch_norm(x, self.gamma.value, self.beta.value, self.stats,
                             training=training)
+
+    def cost(self, x, out):
+        return 2 * self.c, 0
 
 
 class ConvBnSilu(Module):
@@ -201,10 +213,6 @@ class CBAM(Module):
                                                bias=True, rng=rng, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if complexity.tape_active():
-            n, c, h, w = x.shape
-            complexity.record_cost(f"{self.name}.pool", 0, 4 * h * w * c,
-                                   unique_key=(id(self), "pool"))
         avg = T.pool_global(x, "avg")
         mx = T.pool_global(x, "max")
         att = T.add(self.fc2(T.relu(self.fc1(avg))), self.fc2(T.relu(self.fc1(mx))))
@@ -212,6 +220,10 @@ class CBAM(Module):
         smap = T.concat_channels([T.channel_reduce(x, "mean"), T.channel_reduce(x, "max")])
         gate = T.sigmoid(self.spatial(smap))
         return T.mul(x, gate)
+
+    def cost(self, x, out):
+        _, c, h, w = x.shape
+        return 0, 4 * h * w * c  # avg and max pooling, over channels then pixels
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +268,7 @@ class MBConvBlock(Module):
 
     def __init__(self, name: str, cfg: MBConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         h = cfg.hidden
         if cfg.expansion > 1:
@@ -276,8 +288,6 @@ class MBConvBlock(Module):
                                                      dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.cfg.c_in:
-            raise ShapeError(f"{self.name}: expected {self.cfg.c_in} channels, got {x.shape[1]}")
         out = self.expand(x, training=training) if self.expand else x
         out = T.silu(self.dw_bn(self.dw(out), training=training))
         out = self.attn(out, training=training)
@@ -318,7 +328,7 @@ class PartialConv(Module):
 
     def __init__(self, name: str, c: int, ratio: float = 0.25,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=c)
         self.c = c
         self.cp = int(math.ceil(ratio * c))
         if self.cp < 1:
@@ -327,8 +337,6 @@ class PartialConv(Module):
                                             pad=1, rng=rng, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.c:
-            raise ShapeError(f"{self.name}: expected {self.c} channels, got {x.shape[1]}")
         if self.cp == self.c:
             return self.conv(x)
         head = T.slice_channels(x, 0, self.cp)
@@ -341,7 +349,7 @@ class BSBlock(Module):
 
     def __init__(self, name: str, cfg: BSConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=cfg.c)
         self.cfg = cfg
         c, hid = cfg.c, cfg.mlp_expansion * cfg.c
         self.pconv = self._child(PartialConv(f"{name}.pconv", c, cfg.partial_ratio,
@@ -352,8 +360,6 @@ class BSBlock(Module):
                                                rng=rng, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.cfg.c:
-            raise ShapeError(f"{self.name}: expected {self.cfg.c} channels, got {x.shape[1]}")
         branch = self.pconv(x, training=training)
         branch = self.mlp_out(T.silu(self.mlp_in(branch)))
         branch = T.dropout(branch, self.cfg.dropout_p, training=training,
@@ -387,7 +393,7 @@ class GSConvBlock(Module):
 
     def __init__(self, name: str, cfg: GSConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         self.cbs = self._child(ConvBnSilu(f"{name}.cbs", cfg.c_in, cfg.c_out, 3,
                                           stride=cfg.stride, rng=rng, dtype=dtype))
@@ -395,8 +401,6 @@ class GSConvBlock(Module):
                                           pad=1, groups=cfg.c_out, rng=rng, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.cfg.c_in:
-            raise ShapeError(f"{self.name}: expected {self.cfg.c_in} channels, got {x.shape[1]}")
         fc = self.cbs(x, training=training)
         fd = self.dw(fc)
         return T.channel_shuffle(T.concat_channels([fc, fd]), self.cfg.shuffle_groups)
@@ -469,7 +473,7 @@ class VKConv(Module):
 
     def __init__(self, name: str, cfg: VKConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         k = cfg.num_params
         self.base = vk_base_coords(k)
@@ -503,20 +507,17 @@ class VKConv(Module):
         return coords
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.cfg.c_in:
-            raise ShapeError(f"{self.name}: expected {self.cfg.c_in} channels, got {x.shape[1]}")
         acc = None
         for k, coord in enumerate(self.sample_coords(x)):
             term = T.mul(T.bilinear_sample(x, coord),
                          T.slice_channels(self.point_w.value, k, k + 1))
             acc = term if acc is None else T.add(acc, term)
-        if complexity.tape_active():
-            ho, wo = self.offset_conv.spatial_out(x.shape[2], x.shape[3])
-            kk = self.cfg.num_params
-            flops = (8 + 2) * kk * self.cfg.c_in * ho * wo  # bilinear gather + contraction
-            complexity.record_cost(f"{self.name}.sampling", kk + 1, flops,
-                                   unique_key=(id(self), "sampling"))
         return T.silu(self.bn(self.project(acc), training=training))
+
+    def cost(self, x, out):
+        ho, wo = self.offset_conv.spatial_out(x.shape[2], x.shape[3])
+        kk = self.cfg.num_params
+        return kk + 1, (8 + 2) * kk * self.cfg.c_in * ho * wo  # bilinear gather + contraction
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +553,7 @@ class AVCStem(Module):
 
     def __init__(self, name: str, cfg: AVCStemConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name)
+        super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         self.branch_a = self._child(ConvBnSilu(f"{name}.branch_a", cfg.c_in,
                                                cfg.branch_channels, 1, rng=rng, dtype=dtype))
@@ -573,8 +574,6 @@ class AVCStem(Module):
         return T.sigmoid(T.mul(self.gate1(x), self.gate3(x)))
 
     def forward(self, x, training=False, seed=0):
-        if x.shape[1] != self.cfg.c_in:
-            raise ShapeError(f"{self.name}: expected {self.cfg.c_in} channels, got {x.shape[1]}")
         a = self.branch_a(x, training=training)
         b = T.mul(self.gate(x), self.branch_b(x, training=training))
         return self.vk(T.concat_channels([a, b]), training=training)

@@ -3,9 +3,11 @@
 A multiply-accumulate counts as 2 flops.  Batch norm contributes 2c
 parameters and negligible flops (foldable at inference); attention pooling
 contributes h*w*c flops per reduction.  Model-level accounting replays the
-exact forward graph under a cost tape, then cross-checks the parameter
+exact forward graph under a cost tape holding one row per module that does
+work of its own, under the module's name, then cross-checks the parameter
 total against the scalars actually allocated; a mismatch means some layer
-executed without an accounting rule and raises instead of under-counting.
+executed without an accounting rule, or two modules share a name, and
+raises instead of under-counting.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ def count_conv(c_in: int, c_out: int, k: int, h_out: int, w_out: int,
 
 @dataclass
 class CostReport:
-    """Per-layer (name, params, flops) rows plus totals."""
+    """One (module name, params, flops) row per module that does work of its
+    own, in the order the modules first finished a call; plus totals."""
 
     rows: list[tuple[str, int, int]] = field(default_factory=list)
 
@@ -59,31 +62,21 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-class _CostTape:
-    def __init__(self):
-        self.entries: dict[str, list[int]] = {}
-        self.seen_params: set = set()
-
-
-_ACTIVE_TAPE: _CostTape | None = None
+_ACTIVE_TAPE: dict[str, list[int]] | None = None
 
 
 def tape_active() -> bool:
     return _ACTIVE_TAPE is not None
 
 
-def record_cost(name: str, params: int, flops: int, unique_key=None) -> None:
-    """Add a cost row; params are credited once per unique_key so layers
-    called repeatedly (shared weights) do not double-count parameters."""
+def record_cost(name: str, params: int, flops: int) -> None:
+    """Add to the row of module ``name``: params are credited on its first
+    call only, so a module called repeatedly (shared weights) does not
+    double-count them; flops add on every call."""
     tape = _ACTIVE_TAPE
     if tape is None:
         return
-    row = tape.entries.setdefault(name, [0, 0])
-    key = unique_key if unique_key is not None else name
-    if key not in tape.seen_params:
-        tape.seen_params.add(key)
-        row[0] += params
-    row[1] += flops
+    tape.setdefault(name, [params, 0])[1] += flops
 
 
 class tracking:
@@ -92,7 +85,7 @@ class tracking:
     def __enter__(self) -> "tracking":
         global _ACTIVE_TAPE
         self._prev = _ACTIVE_TAPE
-        self._tape = _CostTape()
+        self._tape: dict[str, list[int]] = {}
         _ACTIVE_TAPE = self._tape
         return self
 
@@ -102,7 +95,7 @@ class tracking:
         return False
 
     def report(self) -> CostReport:
-        return CostReport(rows=[(n, p, f) for n, (p, f) in self._tape.entries.items()])
+        return CostReport(rows=[(n, p, f) for n, (p, f) in self._tape.items()])
 
 
 def count_model(cfg) -> CostReport:
@@ -110,7 +103,8 @@ def count_model(cfg) -> CostReport:
 
     Replays one forward pass under the cost tape and verifies the counted
     parameter total equals the number of trainable scalars the model
-    allocated, so an un-accounted layer cannot slip through silently.
+    allocated, so an un-accounted layer, or two modules sharing one name
+    (whose params would be credited once), cannot slip through silently.
     """
     from . import tensor as T
     from .detector import Detector
@@ -125,5 +119,5 @@ def count_model(cfg) -> CostReport:
     if report.total_params != allocated:
         raise AccountingError(
             f"counted {report.total_params} params but model allocates {allocated}; "
-            "a layer is missing an accounting rule")
+            "a layer is missing an accounting rule or two modules share a name")
     return report

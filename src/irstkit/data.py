@@ -50,7 +50,8 @@ def parse_yolo_labels(text: str) -> list[GroundTruth]:
     """Parse ``class cx cy w h`` lines; blank lines are ignored.
 
     Values may stray outside [0, 1] by at most 1e-6 (clamped); anything
-    further raises, as does a malformed line.
+    further raises, as does a malformed line, a negative class id, or a
+    box whose clamped width or height is zero.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -64,10 +65,14 @@ def parse_yolo_labels(text: str) -> list[GroundTruth]:
             vals = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
+        if class_id < 0:
+            raise ParseError(f"line {lineno}: negative class id {class_id}")
         for v in vals:
             if v < -CLAMP_TOL or v > 1.0 + CLAMP_TOL:
                 raise ParseError(f"line {lineno}: value {v} outside [0, 1]")
         cx, cy, w, h = (min(max(v, 0.0), 1.0) for v in vals)
+        if w == 0.0 or h == 0.0:
+            raise ParseError(f"line {lineno}: zero-size box {w} x {h}")
         out.append(GroundTruth(class_id=class_id, cx=cx, cy=cy, w=w, h=h))
     return out
 

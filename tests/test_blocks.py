@@ -5,7 +5,7 @@ import pytest
 
 from irstkit import blocks as B
 from irstkit import tensor as T
-from irstkit.errors import ConfigError, DataError, ParseError
+from irstkit.errors import ConfigError, DataError, ParseError, ShapeError
 from irstkit.tensor import Tensor4
 
 RNG = np.random.default_rng(7)
@@ -401,7 +401,40 @@ class TestInferencePurity:
         np.testing.assert_array_equal(first, second)
 
 
+class TestInputGuard:
+    """Every block that fixes its input width rejects another width by name."""
+
+    @pytest.mark.parametrize("factory, c", [
+        (lambda: B.MBConvBlock("blk", B.MBConvConfig(4, 4)), 4),
+        (lambda: B.PartialConv("blk", 8), 8),
+        (lambda: B.BSBlock("blk", B.BSConfig(c=8)), 8),
+        (lambda: B.GSConvBlock("blk", B.GSConvConfig(4, 4)), 4),
+        (lambda: B.VKConv("blk", B.VKConvConfig(c_in=4, c_out=4)), 4),
+        (lambda: B.AVCStem("blk", B.AVCStemConfig(c_in=4, c_out=4)), 4),
+    ])
+    def test_wrong_channel_count_raises(self, factory, c):
+        with pytest.raises(ShapeError, match=rf"^blk: expected {c} channels, got {c + 2}$"):
+            factory()(rand_input((1, c + 2, 8, 8)))
+
+
 class TestCheckpoint:
+    def test_state_order_is_pre_order(self):
+        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2))
+        assert [name for name, _ in blk.state_arrays()] == [
+            "gs.cbs.conv.weight", "gs.cbs.bn.gamma", "gs.cbs.bn.beta",
+            "gs.cbs.bn.running_mean", "gs.cbs.bn.running_var", "gs.dw.weight"]
+        assert [p.value.name for p in blk.parameters()] == [
+            "gs.cbs.conv.weight", "gs.cbs.bn.gamma", "gs.cbs.bn.beta", "gs.dw.weight"]
+
+    def test_own_params_precede_children(self):
+        # VKConv holds parameters of its own beside its child layers
+        vk = B.VKConv("vk", B.VKConvConfig(2, 2))
+        names = ["vk.alpha", "vk.point_w", "vk.offset.weight", "vk.offset.bias",
+                 "vk.project.weight", "vk.bn.gamma", "vk.bn.beta"]
+        assert [p.value.name for p in vk.parameters()] == names
+        assert [name for name, _ in vk.state_arrays()] == names + [
+            "vk.bn.running_mean", "vk.bn.running_var"]
+
     def test_round_trip_restores_outputs(self, tmp_path):
         rng = np.random.default_rng(36)
         src = B.AVCStem("stem", B.AVCStemConfig(c_in=4, c_out=6), rng=rng,

@@ -1,4 +1,4 @@
-"""PGM image files: round trip and malformed input."""
+"""PGM image files and YOLO label text: round trip and malformed input."""
 
 import numpy as np
 import pytest
@@ -28,3 +28,20 @@ def test_malformed_header_raises_parse_error(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ParseError):
         data.read_pgm(path)
+
+
+def test_yolo_labels_round_trip():
+    gts = [data.GroundTruth(0, 0.5, 0.25, 0.1, 0.2), data.GroundTruth(1, 0.0, 1.0, 1.0, 0.05)]
+    assert data.parse_yolo_labels(data.serialize_yolo_labels(gts) + "\n") == gts
+
+
+def test_yolo_negative_class_raises_parse_error():
+    # a negative id would otherwise index the last class channel from the end
+    with pytest.raises(ParseError, match="line 2: negative class id -1"):
+        data.parse_yolo_labels("0 0.5 0.5 0.1 0.1\n-1 0.5 0.5 0.1 0.1\n")
+
+
+@pytest.mark.parametrize("line", ["0 0.5 0.5 0 0.1", "0 0.5 0.5 0.1 0.0", "0 0.5 0.5 -1e-7 0.1"])
+def test_yolo_zero_size_box_raises_parse_error(line):
+    with pytest.raises(ParseError, match="line 1: zero-size box"):
+        data.parse_yolo_labels(line)
