@@ -466,9 +466,10 @@ class VKConv(Module):
 
     An offset branch predicts 2K per-location displacements, scaled by a
     learnable factor and added to the zero-centered base pattern anchored
-    at each output location.  Features gathered by bilinear interpolation
-    are combined with K learned point weights, then projected 1x1 with
-    BN + SiLU.  Offset channel layout is (dy_0, dx_0, dy_1, dx_1, ...).
+    at each output location.  One ``bilinear_sample`` call gathers all K
+    points and combines them with K learned point weights; the result is
+    projected 1x1 with BN + SiLU.  Offset and coordinate channel layout is
+    (dy_0, dx_0, dy_1, dx_1, ...).
     """
 
     def __init__(self, name: str, cfg: VKConvConfig,
@@ -487,31 +488,16 @@ class VKConv(Module):
                                                rng=rng, dtype=dtype))
         self.bn = self._child(BatchNormLayer(f"{name}.bn", cfg.c_out, dtype=dtype))
 
-    def sample_coords(self, x: Tensor4) -> list[Tensor4]:
-        """Per-point (n, 2, ho, wo) sampling coordinates: base + scaled offsets."""
-        cfg = self.cfg
+    def sample_coords(self, x: Tensor4) -> Tensor4:
+        """(n, 2K, ho, wo) sampling coordinates in the offset layout: scaled
+        offsets plus the base pattern at each output location (float64)."""
         off = T.mul(self.offset_conv(x), self.alpha.value)
-        n = x.shape[0]
-        ho, wo = self.offset_conv.spatial_out(x.shape[2], x.shape[3])
-        gy = np.arange(ho, dtype=np.float64)[:, None] * cfg.stride * np.ones((1, wo))
-        gx = np.ones((ho, 1)) * np.arange(wo, dtype=np.float64)[None, :] * cfg.stride
-        coords = []
-        for k in range(cfg.num_params):
-            dy = T.slice_channels(off, 2 * k, 2 * k + 1)
-            dx = T.slice_channels(off, 2 * k + 1, 2 * k + 2)
-            cy = T.add(dy, Tensor4.const(np.broadcast_to(
-                gy + self.base[k, 0], (n, 1, ho, wo)).copy()))
-            cx = T.add(dx, Tensor4.const(np.broadcast_to(
-                gx + self.base[k, 1], (n, 1, ho, wo)).copy()))
-            coords.append(T.concat_channels([cy, cx]))
-        return coords
+        _, _, ho, wo = off.shape
+        base = self.base[:, :, None, None] + np.mgrid[0:ho, 0:wo] * float(self.cfg.stride)
+        return T.add(off, Tensor4.const(base.reshape(1, -1, ho, wo)))
 
     def forward(self, x, training=False, seed=0):
-        acc = None
-        for k, coord in enumerate(self.sample_coords(x)):
-            term = T.mul(T.bilinear_sample(x, coord),
-                         T.slice_channels(self.point_w.value, k, k + 1))
-            acc = term if acc is None else T.add(acc, term)
+        acc = T.bilinear_sample(x, self.sample_coords(x), self.point_w.value)
         return T.silu(self.bn(self.project(acc), training=training))
 
     def cost(self, x, out):

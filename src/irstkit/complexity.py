@@ -113,7 +113,7 @@ def count_model(cfg) -> CostReport:
     x = T.Tensor4(np.zeros((1, cfg.in_channels, cfg.input_size, cfg.input_size),
                            dtype=np.float32))
     with T.no_grad(), tracking() as tape:
-        model.forward(x, training=False)
+        model(x, training=False)
     report = tape.report()
     allocated = model.num_scalars()
     if report.total_params != allocated:

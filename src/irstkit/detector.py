@@ -32,7 +32,7 @@ from .blocks import (
     MBConvConfig,
     Module,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import Box, Detection
 from .tensor import Tensor4
 
@@ -143,7 +143,7 @@ class Detector(Module):
     """Backbone -> fused neck -> three detection heads."""
 
     def __init__(self, cfg: ModelConfig, init_seed: int = 7, dtype=np.float64):
-        super().__init__("model")
+        super().__init__("model", in_channels=cfg.in_channels)
         self.cfg = cfg
         rng = np.random.default_rng(init_seed)
         w0, w1, w2, w3 = cfg.widths
@@ -377,6 +377,11 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
     positive cells.  Returns (scalar loss tensor, breakdown dict)."""
     ncls, bins = cfg.num_classes, cfg.reg_bins
     dtype = head_outs[0].dtype
+    for b, gts in enumerate(batch_gts):
+        for g in gts:
+            if not 0 <= g.class_id < ncls:
+                raise DataError(f"image {b}: class id {g.class_id} outside the model's "
+                                f"{ncls} classes")
 
     # classification over every cell of every scale; the logit-stable
     # softplus form keeps the gradient (sigmoid(z) - y) alive even when a
@@ -623,7 +628,7 @@ def train_step(model: Detector, optimizer: AdamW, images: np.ndarray, batch_gts,
     lr, beta1 = lr_schedule(step, total_steps, steps_per_epoch, tcfg)
     x = Tensor4(images.astype(model.dtype))
     step_seed = tcfg.seed * 1_000_003 + step
-    outs = model.forward(x, training=True, seed=step_seed)
+    outs = model(x, training=True, seed=step_seed)
     assignment = assign_targets(batch_gts, model.cfg)
     loss, breakdown = total_loss(outs, assignment, batch_gts, model.cfg, weights)
     if not math.isfinite(breakdown["total"]):
@@ -643,7 +648,7 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
     with T.no_grad():
         for lo in range(0, images.shape[0], batch):
             x = Tensor4(images[lo:lo + batch].astype(model.dtype))
-            outs = model.forward(x, training=False)
+            outs = model(x, training=False)
             dets.extend(decode(outs, model.cfg, score_thresh, nms_iou))
     # re-stamp image ids to dataset indices
     for i, per_image in enumerate(dets):

@@ -406,14 +406,22 @@ def maximum(a, b) -> Tensor4:
 # ---------------------------------------------------------------------------
 
 
+def _logistic(xd: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows for x below about -88 in float32; IEEE inf then
+    # gives the exact limit 1 / (1 + inf) = 0
+    with np.errstate(over="ignore"):
+        e = np.exp(-xd)
+    return 1.0 / (1.0 + e)
+
+
 def activation(x: Tensor4, kind: str) -> Tensor4:
     """Elementwise activation; kind is one of silu, sigmoid, relu."""
     xd = x.data
     if kind == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-xd))
+        out = _logistic(xd)
         return _make(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
     if kind == "silu":
-        sig = 1.0 / (1.0 + np.exp(-xd))
+        sig = _logistic(xd)
         out = xd * sig
 
         def back(g):
@@ -430,7 +438,7 @@ def softplus(x: Tensor4) -> Tensor4:
     """log(1 + exp(x)) computed without overflow; gradient is sigmoid(x)."""
     xd = x.data
     out = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0)
-    sig = 1.0 / (1.0 + np.exp(-xd))
+    sig = _logistic(xd)
     return _make(out, "softplus", (x,), lambda g: (g * sig,))
 
 
@@ -843,18 +851,23 @@ def dropout(x: Tensor4, p: float, training: bool, seed: int = 0) -> Tensor4:
     return _make(out, "dropout", (x,), lambda g: (g * factor,))
 
 
-def bilinear_sample(x: Tensor4, coords) -> Tensor4:
-    """Sample x at fractional (y, x) positions with bilinear interpolation.
+def bilinear_sample(x: Tensor4, coords, point_w: Tensor4 | None = None) -> Tensor4:
+    """Sum over K points of point_w[k] times the bilinear sample of x at point k.
 
-    coords is a (n, 2, ho, wo) tensor or array; channel 0 holds row
-    coordinates, channel 1 column coordinates, both in input pixel units.
-    Positions outside [0, h-1] x [0, w-1] contribute zero, matching the
-    zero-padding convention of conv2d.  Gradients flow to x and, when the
-    coordinate tensor requires them, to the coordinates.
+    coords is a (n, 2K, ho, wo) tensor or array in VKConv's offset layout
+    (y_0, x_0, y_1, x_1, ...), in input pixel units; point_w is (1, K, 1, 1),
+    and may be omitted only for K = 1 (a plain bilinear sample).  Positions
+    outside [0, h-1] x [0, w-1] contribute zero, matching the zero-padding
+    convention of conv2d.  Gradients flow to x, coords and point_w.
     """
     coords = _coerce(coords, like=x)
-    if coords.data.shape[1] != 2:
-        raise ShapeError(f"coords must have 2 channels (y, x), got {coords.data.shape}")
+    kk, odd = divmod(coords.data.shape[1], 2)
+    if odd:
+        raise ShapeError(f"coords must have 2K channels (y, x per point), got {coords.data.shape}")
+    if point_w is None and kk == 1:
+        point_w = Tensor4.const(np.ones((1, 1, 1, 1), dtype=x.data.dtype))
+    if point_w is None or point_w.data.shape != (1, kk, 1, 1):
+        raise ShapeError(f"{kk} sampling points need (1, {kk}, 1, 1) point weights")
     if not np.isfinite(coords.data).all():
         raise NumericError("bilinear_sample received non-finite coordinates")
     n, c, h, w = x.data.shape
@@ -863,13 +876,15 @@ def bilinear_sample(x: Tensor4, coords) -> Tensor4:
     _, _, ho, wo = coords.data.shape
     L = ho * wo
 
-    y = coords.data[:, 0].reshape(n, L)
-    xx = coords.data[:, 1].reshape(n, L)
-    y0 = np.floor(y)
-    x0 = np.floor(xx)
-    fy = y - y0
-    fx = xx - x0
+    yx = coords.data.reshape(n, kk, 2, L)
+    y0 = np.floor(yx[:, :, 0])
+    x0 = np.floor(yx[:, :, 1])
+    fy = yx[:, :, 0] - y0
+    fx = yx[:, :, 1] - x0
+    pw = point_w.data.reshape(1, kk, 1).astype(np.float64)
 
+    # per corner: (n, K, L) pixel indices and float64 point x corner weights;
+    # each (b, k) row of indices gathers all channels into one accumulator
     flat = x.data.reshape(n, c, h * w)
     corners = []
     out = np.zeros((n, c, L), dtype=x.data.dtype)
@@ -879,36 +894,34 @@ def bilinear_sample(x: Tensor4, coords) -> Tensor4:
         xc = x0 + dx
         valid = (yc >= 0) & (yc <= h - 1) & (xc >= 0) & (xc <= w - 1)
         idx = (np.clip(yc, 0, h - 1) * w + np.clip(xc, 0, w - 1)).astype(np.int64)
-        vals = np.take_along_axis(flat, idx[:, None, :], axis=2) * valid[:, None, :]
-        out += wgt[:, None, :] * vals
-        corners.append((idx, valid, wgt, vals))
-
-    out4 = out.reshape(n, c, ho, wo)
+        weight = pw * wgt * valid
+        cast = weight.astype(x.data.dtype)
+        for b in range(n):
+            for k in range(kk):
+                out[b] += np.take(flat[b], idx[b, k], axis=1) * cast[b, k]
+        corners.append((idx, valid, wgt, weight))
 
     def back(g):
         go = g.reshape(n, c, L)
         size = n * c * h * w
-        base = (np.arange(n)[:, None] * c + np.arange(c)[None, :])[:, :, None] * (h * w)
-        acc = np.zeros(size)
-        for idx, valid, wgt, _ in corners:
-            contrib = go * (wgt * valid)[:, None, :]
-            flat_idx = base + idx[:, None, :]
-            acc += np.bincount(flat_idx.ravel(), weights=contrib.ravel(), minlength=size)
-        gx = acc.reshape(x.data.shape).astype(x.data.dtype)
+        base = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+        gx = np.zeros(size)
+        s = []  # per corner, (n, K, L): go dotted over channels with the corner's values
+        for idx, valid, _, weight in corners:
+            gx += np.bincount((base + idx[:, None]).ravel(), minlength=size,
+                              weights=(go[:, :, None, :] * weight[:, None]).ravel())
+            sj = np.array([[np.einsum("cl,cl->l", np.take(flat[b], idx[b, k], axis=1), go[b])
+                            for k in range(kk)] for b in range(n)])
+            s.append(sj * valid)
+        s00, s01, s10, s11 = s
+        gy = pw * ((1 - fx) * (s10 - s00) + fx * (s11 - s01))
+        gxc = pw * ((1 - fy) * (s01 - s00) + fy * (s11 - s10))
+        gpw = sum(wgt * sj for (_, _, wgt, _), sj in zip(corners, s)).sum(axis=(0, 2))
+        return (gx.reshape(x.data.shape).astype(x.data.dtype),
+                np.stack([gy, gxc], axis=2).reshape(coords.data.shape).astype(coords.data.dtype),
+                gpw.reshape(point_w.data.shape).astype(point_w.data.dtype))
 
-        gcoords = None
-        if coords.requires_grad:
-            (_, v00, _, vals00), (_, v01, _, vals01), (_, v10, _, vals10), (_, v11, _, vals11) = corners
-            dy_map = ((1 - fx)[:, None, :] * (vals10 - vals00)
-                      + fx[:, None, :] * (vals11 - vals01))
-            dx_map = ((1 - fy)[:, None, :] * (vals01 - vals00)
-                      + fy[:, None, :] * (vals11 - vals10))
-            gy = (go * dy_map).sum(axis=1).reshape(n, ho, wo)
-            gxc = (go * dx_map).sum(axis=1).reshape(n, ho, wo)
-            gcoords = np.stack([gy, gxc], axis=1)
-        return gx, gcoords
-
-    return _make(out4, "bilinear_sample", (x, coords), back)
+    return _make(out.reshape(n, c, ho, wo), "bilinear_sample", (x, coords, point_w), back)
 
 
 # ---------------------------------------------------------------------------

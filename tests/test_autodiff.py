@@ -170,6 +170,17 @@ class TestPrimitiveGradients:
                            requires_grad=True)
         fd_check(lambda xx, cc: projected(T.bilinear_sample(xx, cc)), [x, coords])
 
+    def test_multi_point_bilinear_sample_wrt_input_coords_and_weights(self):
+        rng = np.random.default_rng(12)
+        x = T.Tensor4(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        # K=5 points; integer parts from -1 to 6 put some corners and whole
+        # points outside the 6x6 frame, fractions stay off the lattice kinks
+        coords = T.Tensor4(rng.integers(-1, 7, size=(2, 10, 3, 3))
+                           + rng.uniform(0.2, 0.8, size=(2, 10, 3, 3)), requires_grad=True)
+        point_w = T.Tensor4(rng.standard_normal((1, 5, 1, 1)), requires_grad=True)
+        fd_check(lambda xx, cc, pw: projected(T.bilinear_sample(xx, cc, pw)),
+                 [x, coords, point_w])
+
     def test_upsample2x(self):
         x = rand_tensor((1, 3, 4, 4))
         fd_check(lambda xx: projected(T.upsample2x(xx)), [x])

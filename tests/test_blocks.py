@@ -317,12 +317,13 @@ class TestVKConv:
         x = rand_input((1, 2, 5, 5), seed=27)
 
         def displacements():
-            coords = vk.sample_coords(x)
+            coords = vk.sample_coords(x).data
             disp = []
-            for k, coord in enumerate(coords):
+            for k in range(cfg.num_params):
                 gy = np.arange(5)[:, None] * cfg.stride + vk.base[k, 0]
                 gx = np.arange(5)[None, :] * cfg.stride + vk.base[k, 1]
-                disp.append(coord.data - np.stack(np.broadcast_arrays(gy, gx))[None])
+                coord = coords[:, 2 * k:2 * k + 2]
+                disp.append(coord - np.stack(np.broadcast_arrays(gy, gx))[None])
             return np.array(disp)
 
         d1 = displacements()
@@ -347,6 +348,19 @@ class TestVKConv:
         vk.offset_conv.weight.value.data = np.random.default_rng(30).normal(
             0, 0.3, vk.offset_conv.weight.value.data.shape)
         fd_block(vk, rand_input((1, 4, 6, 6), seed=29))
+
+    def test_gradient_wrt_sampling_parameters(self):
+        vk = B.VKConv("vk", B.VKConvConfig(c_in=3, c_out=2), rng=np.random.default_rng(36))
+        rng = np.random.default_rng(37)
+        for p in (vk.offset_conv.weight, vk.offset_conv.bias, vk.point_w):
+            p.value.data = rng.normal(0, 0.3, p.value.data.shape)
+        x = rand_input((2, 3, 5, 5), seed=37)
+        proj = Tensor4.const(rng.standard_normal(vk(x).shape))
+        leaves = [vk.point_w.value, vk.alpha.value,
+                  vk.offset_conv.weight.value, vk.offset_conv.bias.value]
+        report = T.grad_check(lambda *_: T.sum_all(T.mul(vk(x), proj)), leaves,
+                              tolerance=1e-5, eps=1e-5)
+        assert report.passed, f"max rel err {report.max_rel_error:.2e}"
 
 
 class TestAVCStem:

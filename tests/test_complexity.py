@@ -29,6 +29,12 @@ class TestCountModel:
         cfg = D.ModelConfig()
         assert C.count_model(cfg).total_params == D.Detector(cfg).num_scalars()
 
+    def test_default_config_totals(self):
+        report = C.count_model(D.ModelConfig())
+        assert len(report.rows) == 113
+        assert report.total_params == 1_327_912
+        assert report.total_flops == 123_318_543
+
     def test_stem_row_is_a_strided_3x3_conv(self):
         rows = {name: (p, f) for name, p, f in C.count_model(D.ModelConfig()).rows}
         # 96 px input, stride 2 -> 48 x 48 output, 1 -> 8 channels, no bias

@@ -8,7 +8,7 @@ import pytest
 from irstkit import detector as D
 from irstkit import tensor as T
 from irstkit.data import GroundTruth
-from irstkit.errors import ConfigError, NumericError
+from irstkit.errors import ConfigError, DataError, NumericError, ShapeError
 from irstkit.metrics import Box, Detection
 from irstkit.tensor import Tensor4
 
@@ -187,6 +187,14 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             D.LossWeights(-0.1, 0.5, 0.5)
+
+    @pytest.mark.parametrize("class_id", [5, 1, -1])
+    def test_class_id_outside_model_classes_raises(self, class_id):
+        cfg = D.ModelConfig()
+        outs, _, _ = _toy_batch(cfg)
+        gts = [[], [GroundTruth(0, 0.5, 0.5, 0.2, 0.2), GroundTruth(class_id, 0.3, 0.3, 0.2, 0.2)]]
+        with pytest.raises(DataError, match=rf"image 1: class id {class_id}\b"):
+            D.total_loss(outs, D.assign_targets(gts, cfg), gts, cfg)
 
 
 def _dfl_rows(head_data, asg, gts, cfg):
@@ -508,6 +516,16 @@ class TestModelBuild:
     def test_input_size_multiple_of_32(self):
         with pytest.raises(ConfigError):
             D.ModelConfig(input_size=100)
+
+    def test_entry_points_check_input_channels(self):
+        cfg = micro_config()
+        model = D.Detector(cfg, init_seed=1, dtype=np.float32)
+        images = np.zeros((1, 2, 32, 32), dtype=np.float32)
+        with pytest.raises(ShapeError, match="^model: expected 1 channels, got 2"):
+            D.predict(model, images)
+        with pytest.raises(ShapeError, match="^model: expected 1 channels, got 2"):
+            D.train_step(model, D.AdamW(model.parameters()), images, [[]], 0, 10, 1,
+                         D.TrainConfig(epochs=10), D.LossWeights())
 
 
 class TestPipelineGradient:

@@ -203,6 +203,17 @@ class TestActivation:
         with pytest.raises(ConfigError):
             T.activation(T.Tensor4.scalar(0.0), "tanh")
 
+    @pytest.mark.parametrize("kind", ["sigmoid", "silu"])
+    def test_float32_far_negative_is_zero_with_finite_gradient(self, kind):
+        # exp(-x) overflows float32 below about -88; warnings fail the suite
+        x = T.Tensor4(np.array([-100.0, -1e4], dtype=np.float32).reshape(1, 2, 1, 1),
+                      requires_grad=True)
+        out = T.activation(x, kind)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out.data, 0.0)
+        T.backward(T.sum_all(out))
+        assert np.isfinite(x.grad).all()
+
 
 class TestChannelShuffle:
     def test_single_group_identity(self):
@@ -265,6 +276,29 @@ class TestBilinearSample:
         coords = np.array([np.nan, 0.0]).reshape(1, 2, 1, 1)
         with pytest.raises(NumericError):
             T.bilinear_sample(x, T.Tensor4(coords))
+
+    def test_multi_point_equals_weighted_single_point_sum(self):
+        rng = np.random.default_rng(3)
+        x = T.Tensor4(rng.standard_normal((2, 3, 6, 6)))
+        coords = rng.uniform(-2.0, 7.5, size=(2, 10, 4, 5))  # K=5, some outside
+        point_w = rng.standard_normal(5)
+        out = T.bilinear_sample(x, T.Tensor4(coords), T.Tensor4(point_w.reshape(1, 5, 1, 1)))
+        ref = sum(point_w[k] * T.bilinear_sample(x, T.Tensor4(coords[:, 2 * k:2 * k + 2])).data
+                  for k in range(5))
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("channels, point_w_shape", [
+        (3, None),                # odd coordinate channels
+        (10, (1, 4, 1, 1)),       # 5 points, 4 weights
+        (10, (2, 5, 1, 1)),       # per-image weights are not supported
+        (10, None),               # 5 points without weights
+    ])
+    def test_multi_point_shape_errors(self, channels, point_w_shape):
+        x = T.Tensor4(np.ones((1, 2, 4, 4)))
+        coords = T.Tensor4(np.zeros((1, channels, 2, 2)))
+        point_w = None if point_w_shape is None else T.Tensor4(np.ones(point_w_shape))
+        with pytest.raises(ShapeError):
+            T.bilinear_sample(x, coords, point_w)
 
 
 class TestPoolGlobal:
