@@ -13,6 +13,7 @@ format plus a text manifest.
 
 from __future__ import annotations
 
+import copy
 import math
 import zlib
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import complexity
 from . import tensor as T
-from .errors import ConfigError, DataError, ParseError, ShapeError
+from .errors import ConfigError, ContractError, DataError, ParseError, ShapeError
 from .tensor import ParamTensor, RunningStats, Tensor4
 
 
@@ -34,6 +35,10 @@ class Module:
     """Named container of parameters, buffers, and child modules.  A call
     checks the input width against ``in_channels`` (when set), runs
     ``forward``, then records ``cost`` as this module's cost-tape row."""
+
+    # (conv attribute, batch-norm attribute) pairs in which the batch norm
+    # directly follows the conv; ``fold_bn`` merges each pair into the conv
+    bn_pairs: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, name: str, in_channels: int | None = None):
         self.name = name
@@ -169,8 +174,52 @@ class BatchNormLayer(Module):
         return 2 * self.c, 0
 
 
+class PassThrough(Module):
+    """Identity in place of a batch norm that ``fold_bn`` merged into the
+    conv before it; such a model is inference-only."""
+
+    def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
+        if training:
+            raise ContractError(f"{self.name}: batch norm folded into its conv; "
+                                "the model is inference-only")
+        return x
+
+
+def fold_bn(model: Module) -> Module:
+    """Inference-only copy of ``model`` in which each conv -> batch-norm pair
+    declared in ``bn_pairs`` is one conv with a bias.
+
+    With s = gamma / sqrt(running_var + eps), the conv's weight becomes
+    W * s per output channel and its bias beta + (b - running_mean) * s, so
+    the conv's output equals the inference-mode batch norm of the old one up
+    to rounding; the batch norm becomes a :class:`PassThrough`.  The copy
+    keeps the block classes and shares every parameter it does not fold;
+    ``model`` is not modified.
+    """
+    fused = copy.deepcopy(model, memo={id(p): p for p in model.parameters()})
+    for m in list(fused.sublayers()):
+        for conv_attr, bn_attr in m.bn_pairs:
+            conv, bn = getattr(m, conv_attr), getattr(m, bn_attr)
+            w = conv.weight.value.data
+            scale = bn.gamma.value.data.reshape(-1) / np.sqrt(bn.stats.var + T.BN_EPS)
+            shift = -bn.stats.mean
+            if conv.bias is not None:
+                shift = shift + conv.bias.value.data.reshape(-1)
+            bias = bn.beta.value.data.reshape(-1) + shift * scale
+            conv._local_params = []
+            conv.weight = conv._param("weight", w * scale.astype(w.dtype).reshape(-1, 1, 1, 1))
+            conv.bias = conv._param("bias", bias.astype(w.dtype).reshape(1, -1, 1, 1))
+            conv.has_bias = True
+            passthrough = PassThrough(bn.name)
+            m._children[m._children.index(bn)] = passthrough
+            setattr(m, bn_attr, passthrough)
+    return fused
+
+
 class ConvBnSilu(Module):
     """Conv + batch norm + SiLU, the standard conditioning unit."""
+
+    bn_pairs = (("conv", "bn"),)
 
     def __init__(self, name: str, c_in: int, c_out: int, k: int,
                  stride: int = 1, pad: int | None = None,
@@ -265,6 +314,8 @@ class MBConvBlock(Module):
     SiLU follows the expansion and depthwise stages; the projection stays
     linear.  An expansion ratio of 1 omits the expansion convolution.
     """
+
+    bn_pairs = (("dw", "dw_bn"), ("project", "project_bn"))
 
     def __init__(self, name: str, cfg: MBConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
@@ -471,6 +522,8 @@ class VKConv(Module):
     projected 1x1 with BN + SiLU.  Offset and coordinate channel layout is
     (dy_0, dx_0, dy_1, dx_1, ...).
     """
+
+    bn_pairs = (("project", "bn"),)
 
     def __init__(self, name: str, cfg: VKConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):

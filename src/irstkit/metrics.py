@@ -160,7 +160,12 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
     """
     if n_gt < 1:
         raise DataError("average precision undefined without ground truth")
-    labels = _sorted_labels(scored)
+    return _ranked_ap(_sorted_labels(scored), n_gt)
+
+
+def _ranked_ap(labels: list[bool], n_gt: int) -> float:
+    """``average_precision`` of true-positive flags already in descending
+    score order (stable for ties); n_gt >= 1."""
     if not labels:
         return 0.0
     tps = np.cumsum([1 if t else 0 for t in labels])
@@ -269,13 +274,17 @@ def _region_bounds(shape: tuple[int, int], box: Box) -> tuple[tuple, tuple]:
     return (ix1, iy1, ix2, iy2), window
 
 
+class _EmptyAnnulus(DataError):
+    """The box's window is its target: no background pixel is left."""
+
+
 def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
     """Discretize a box onto the pixel grid; the background annulus is the
     box dilated by its own larger dimension on each side, minus the target.
     Pixel indices come in row-major order."""
     (ix1, iy1, ix2, iy2), window = _region_bounds(image.shape, box)
     if window == (ix1, iy1, ix2, iy2):
-        raise DataError(f"empty background annulus for box {box}")
+        raise _EmptyAnnulus(f"empty background annulus for box {box}")
     ox1, oy1, ox2, oy2 = window
 
     # masks over the window only: the annulus never leaves it
@@ -339,20 +348,22 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
             if not gts[j].box.contains(det.box.cx, det.box.cy):
                 continue
             if det_noco is None:
-                target, window = _region_bounds(img.shape, det.box)
-                det_noco = (0.0 if window == target
-                            else noco(build_contrast_region(img, det.box)))
+                try:
+                    det_noco = noco(build_contrast_region(img, det.box))
+                except _EmptyAnnulus:
+                    det_noco = 0.0
             denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
             score = float(np.clip(det_noco / denom, 0.0, 1.0))
             cands.append((j, score))
         cands.sort(key=lambda t: (-t[1], t[0]))
         candidates.append(cands)
 
+    # stable descending-score order, as average_precision would sort the hits
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     per_delta: dict[float, float] = {}
     for delta in deltas:
         matched: set[int] = set()
-        scored = []
+        hits = []
         for i in order:
             hit = False
             for j, nscore in candidates[i]:
@@ -362,8 +373,8 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
                     matched.add(j)
                     hit = True
                 break  # only the best unmatched candidate is considered
-            scored.append((dets[i].score, hit))
-        per_delta[delta] = average_precision(scored, len(gts)) if scored else 0.0
+            hits.append(hit)
+        per_delta[delta] = _ranked_ap(hits, len(gts))
     value = float(np.mean(list(per_delta.values())))
     return value, per_delta
 

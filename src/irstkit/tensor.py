@@ -14,7 +14,7 @@ used more than once.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -144,20 +144,19 @@ class Tensor4:
 
 @dataclass
 class ParamTensor:
-    """A trainable tensor with first/second moment buffers for the optimizer."""
+    """A trainable tensor with first/second moment buffers for the optimizer;
+    the buffers stay None until the optimizer's first step, so a model that
+    is only run for inference allocates none."""
 
     value: Tensor4
-    moment1: np.ndarray = field(default=None)  # type: ignore[assignment]
-    moment2: np.ndarray = field(default=None)  # type: ignore[assignment]
+    moment1: np.ndarray | None = None
+    moment2: np.ndarray | None = None
     step_count: int = 0
 
     def __post_init__(self):
-        if self.moment1 is None:
-            self.moment1 = np.zeros_like(self.value.data, dtype=np.float64)
-        if self.moment2 is None:
-            self.moment2 = np.zeros_like(self.value.data, dtype=np.float64)
-        if self.moment1.size != self.value.data.size or self.moment2.size != self.value.data.size:
-            raise ShapeError("moment buffers must match value size")
+        for moment in (self.moment1, self.moment2):
+            if moment is not None and moment.size != self.value.data.size:
+                raise ShapeError("moment buffers must match value size")
         self.value.requires_grad = True
 
     @property
@@ -407,11 +406,13 @@ def maximum(a, b) -> Tensor4:
 
 
 def _logistic(xd: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows for x below about -88 in float32; IEEE inf then
-    # gives the exact limit 1 / (1 + inf) = 0
+    # 1 / (1 + exp(-x)) in one buffer.  exp(-x) overflows for x below about
+    # -88 in float32; IEEE inf then gives the exact limit 1 / (1 + inf) = 0
+    e = np.negative(xd)
     with np.errstate(over="ignore"):
-        e = np.exp(-xd)
-    return 1.0 / (1.0 + e)
+        np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def activation(x: Tensor4, kind: str) -> Tensor4:
@@ -710,12 +711,13 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
         wo = (xp.shape[3] - k) // stride + 1
         wv = weight.data[:, 0]  # (c, k, k)
         out = np.zeros((n, c_in, ho, wo), dtype=xp.dtype)
+        prod = np.empty(out.shape, dtype=np.result_type(xp, wv))  # one buffer for all taps
         for i in range(k):
             for j in range(k):
                 seg = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                out += seg * wv[:, i, j][None, :, None, None]
+                out += np.multiply(seg, wv[:, i, j][None, :, None, None], out=prod)
         if bias is not None:
-            out = out + bias.data.reshape(1, c_out, 1, 1)
+            out += bias.data.reshape(1, c_out, 1, 1)
 
         need_x = x.requires_grad
 
@@ -744,7 +746,7 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
     wmat = weight.data.reshape(groups, cog, cg * k * k)
     out = np.matmul(wmat, cols).reshape(n, c_out, ho, wo)
     if bias is not None:
-        out = out + bias.data.reshape(1, c_out, 1, 1)
+        out += bias.data.reshape(1, c_out, 1, 1)
 
     need_x = x.requires_grad
 
@@ -775,6 +777,9 @@ def depthwise_conv2d(x: Tensor4, weight: Tensor4, stride: int = 1, pad: int = 0)
 # ---------------------------------------------------------------------------
 
 
+BN_EPS = 1e-5  # batch norm's variance floor, shared with the inference-time fold
+
+
 @dataclass
 class RunningStats:
     """Per-channel running mean/variance for batch norm inference."""
@@ -788,9 +793,20 @@ class RunningStats:
         return RunningStats(np.zeros(channels), np.ones(channels), momentum)
 
 
+def _normalize_affine(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
+                      gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, gamma * xhat + beta) with xhat = (x - mean) * inv_std, in two
+    fresh buffers; mean and inv_std are in x's dtype."""
+    xhat = x - mean
+    xhat *= inv_std
+    out = gamma * xhat
+    out += beta
+    return xhat, out
+
+
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
                running_stats: RunningStats, training: bool,
-               eps: float = 1e-5) -> Tensor4:
+               eps: float = BN_EPS) -> Tensor4:
     """Channelwise batch normalisation.
 
     Training mode normalises by batch statistics over (n, h, w) and updates
@@ -810,8 +826,7 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         running_stats.mean = (1 - mom) * running_stats.mean + mom * mean.reshape(-1)
         running_stats.var = (1 - mom) * running_stats.var + mom * var.reshape(-1)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean) * inv_std
-        out = gamma.data * xhat + beta.data
+        xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
 
         def back(g):
             gg = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
@@ -823,8 +838,7 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
     inv_std = (1.0 / np.sqrt(running_stats.var.reshape(1, c, 1, 1) + eps)).astype(x.data.dtype)
     mean = running_stats.mean.reshape(1, c, 1, 1).astype(x.data.dtype)
-    xhat = (x.data - mean) * inv_std
-    out = gamma.data * xhat + beta.data
+    xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
 
     def back_eval(g):
         gg = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
@@ -884,10 +898,13 @@ def bilinear_sample(x: Tensor4, coords, point_w: Tensor4 | None = None) -> Tenso
     pw = point_w.data.reshape(1, kk, 1).astype(np.float64)
 
     # per corner: (n, K, L) pixel indices and float64 point x corner weights;
-    # each (b, k) row of indices gathers all channels into one accumulator
+    # each (b, k) row of indices gathers all channels into one reused buffer
+    # (the indices are clipped already; mode="clip" lets take write to it
+    # directly, where the default mode would gather into a hidden copy)
     flat = x.data.reshape(n, c, h * w)
     corners = []
     out = np.zeros((n, c, L), dtype=x.data.dtype)
+    buf = np.empty((c, L), dtype=x.data.dtype)
     for dy, dx, wgt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
                         (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
         yc = y0 + dy
@@ -898,7 +915,9 @@ def bilinear_sample(x: Tensor4, coords, point_w: Tensor4 | None = None) -> Tenso
         cast = weight.astype(x.data.dtype)
         for b in range(n):
             for k in range(kk):
-                out[b] += np.take(flat[b], idx[b, k], axis=1) * cast[b, k]
+                np.take(flat[b], idx[b, k], axis=1, out=buf, mode="clip")
+                buf *= cast[b, k]
+                out[b] += buf
         corners.append((idx, valid, wgt, weight))
 
     def back(g):

@@ -5,7 +5,7 @@ import pytest
 
 from irstkit import blocks as B
 from irstkit import tensor as T
-from irstkit.errors import ConfigError, DataError, ParseError, ShapeError
+from irstkit.errors import ConfigError, ContractError, DataError, ParseError, ShapeError
 from irstkit.tensor import Tensor4
 
 RNG = np.random.default_rng(7)
@@ -413,6 +413,53 @@ class TestInferencePurity:
         first = block(x, training=False).data.copy()
         second = block(x, training=False).data
         np.testing.assert_array_equal(first, second)
+
+
+class TestFoldBn:
+    """Each declared conv -> batch-norm pair folds into one biased conv."""
+
+    class BiasedPair(B.Module):
+        bn_pairs = (("conv", "bn"),)
+
+        def __init__(self, rng):
+            super().__init__("p")
+            self.conv = self._child(B.Conv2dLayer("p.conv", 3, 5, 3, stride=2, pad=1,
+                                                  bias=True, rng=rng))
+            self.bn = self._child(B.BatchNormLayer("p.bn", 5))
+
+        def forward(self, x, training=False, seed=0):
+            return self.bn(self.conv(x), training=training)
+
+    @staticmethod
+    def randomize(module, seed):
+        rng = np.random.default_rng(seed)
+        for p in module.parameters():
+            p.value.data = rng.normal(0.0, 1.0, p.value.data.shape)
+        for m in module.sublayers():
+            if isinstance(m, B.BatchNormLayer):
+                m.stats.mean = rng.normal(0.0, 1.0, m.c)
+                m.stats.var = rng.uniform(0.2, 3.0, m.c)
+        return module
+
+    @pytest.mark.parametrize("factory, c", [
+        (lambda rng: TestFoldBn.BiasedPair(rng), 3),  # the conv's own bias carries over
+        (lambda rng: B.MBConvBlock("m", B.MBConvConfig(4, 8, stride=2), rng=rng), 4),
+        (lambda rng: B.VKConv("v", B.VKConvConfig(c_in=4, c_out=6), rng=rng), 4),
+        (lambda rng: B.GSConvBlock("g", B.GSConvConfig(4, 4), rng=rng), 4),
+    ])
+    def test_folded_block_matches_inference_forward(self, factory, c):
+        block = self.randomize(factory(np.random.default_rng(40)), seed=41)
+        x = rand_input((2, c, 8, 8), seed=42)
+        want = block(x).data
+        fused = B.fold_bn(block)
+        np.testing.assert_allclose(fused(x).data, want, rtol=1e-12, atol=1e-12)
+        assert not any(isinstance(m, B.BatchNormLayer) for m in fused.sublayers())
+        assert type(fused) is type(block)
+
+    def test_folded_model_is_inference_only(self):
+        fused = B.fold_bn(B.ConvBnSilu("c", 2, 4, 3))
+        with pytest.raises(ContractError, match="^c.bn: .*inference-only"):
+            fused(rand_input((2, 2, 6, 6)), training=True)
 
 
 class TestInputGuard:

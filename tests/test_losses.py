@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from irstkit import blocks as B
+from irstkit import complexity as C
 from irstkit import detector as D
 from irstkit import tensor as T
 from irstkit.data import GroundTruth
@@ -498,6 +500,20 @@ class TestModelBuild:
         assert [o.shape for o in outs] == [
             (1, 33, 12, 12), (1, 33, 6, 6), (1, 33, 3, 3)]
 
+    def test_strides_are_not_configurable(self):
+        with pytest.raises(TypeError):
+            D.ModelConfig(strides=(4, 8, 16))
+        assert D.ModelConfig().strides == (8, 16, 32)
+
+    @pytest.mark.parametrize("cfg", [D.ModelConfig(), D.paper_scale_config()],
+                             ids=["default", "paper_scale"])
+    def test_built_head_grids_equal_config_grids(self, cfg):
+        model = D.Detector(cfg, init_seed=1, dtype=np.float32)
+        x = Tensor4(np.zeros((1, 1, cfg.input_size, cfg.input_size), dtype=np.float32))
+        with T.no_grad():
+            outs = model(x)
+        assert [o.shape[2:] for o in outs] == [(cfg.head_grid(i),) * 2 for i in range(3)]
+
     def test_head_channel_contract(self):
         cfg = D.ModelConfig(num_classes=3, reg_bins=8)
         assert cfg.head_channels == 3 + 32
@@ -526,6 +542,89 @@ class TestModelBuild:
         with pytest.raises(ShapeError, match="^model: expected 1 channels, got 2"):
             D.train_step(model, D.AdamW(model.parameters()), images, [[]], 0, 10, 1,
                          D.TrainConfig(epochs=10), D.LossWeights())
+
+
+def randomize_bn(model, seed):
+    """Batch norms that are far from the identity: random gammas, betas and
+    running statistics."""
+    rng = np.random.default_rng(seed)
+    for m in model.sublayers():
+        if isinstance(m, B.BatchNormLayer):
+            dtype = m.gamma.value.data.dtype
+            m.gamma.value.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
+            m.beta.value.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
+            m.stats.mean = rng.normal(0.0, 0.5, m.c)
+            m.stats.var = rng.uniform(0.3, 2.0, m.c)
+    return model
+
+
+def rel_error(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestFused:
+    """``Detector.fused()``: each conv -> batch-norm pair becomes one conv
+    with a bias, in a copy that leaves the original alone."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-6), (np.float32, 1e-5)])
+    def test_heads_match_unfused(self, dtype, tol):
+        model = randomize_bn(D.Detector(D.ModelConfig(), init_seed=4, dtype=dtype), seed=5)
+        x = Tensor4(np.random.default_rng(6).random((2, 1, 96, 96)).astype(dtype))
+        with T.no_grad():
+            want = model(x)
+            got = model.fused()(x)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert rel_error(g.data, w.data) <= tol
+
+    def test_every_batch_norm_folded(self):
+        model = D.Detector(D.ModelConfig(), init_seed=4)
+        fused = model.fused()
+        assert sum(isinstance(m, B.BatchNormLayer) for m in model.sublayers()) == 33
+        assert not any(isinstance(m, B.BatchNormLayer) for m in fused.sublayers())
+        assert sum(isinstance(m, B.PassThrough) for m in fused.sublayers()) == 33
+        # unfolded parameters are shared, folded convs get new arrays
+        assert fused.heads[0].out.weight.value.data is model.heads[0].out.weight.value.data
+        assert fused.stem.conv.weight.value.data is not model.stem.conv.weight.value.data
+        assert type(fused.stage_a[0]) is B.MBConvBlock
+
+    def test_original_state_unchanged(self):
+        model = randomize_bn(D.Detector(D.ModelConfig(), init_seed=4), seed=7)
+        before = [(name, arr.copy()) for name, arr in model.state_arrays()]
+        model.fused()
+        after = model.state_arrays()
+        assert [n for n, _ in before] == [n for n, _ in after]
+        for (_, a), (_, b) in zip(before, after):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_predict_equals_decoded_unfused_forward(self):
+        cfg = D.ModelConfig(input_size=64, widths=(4, 4, 4, 4), num_classes=2, reg_bins=4)
+        model = randomize_bn(D.Detector(cfg, init_seed=8, dtype=np.float64), seed=9)
+        images = np.random.default_rng(10).random((3, 1, 64, 64))
+        got = D.predict(model, images, score_thresh=0.3, batch=2)
+        assert got == D.predict(model, images, score_thresh=0.3, batch=2)
+        with T.no_grad():
+            want = D.decode(model(Tensor4(images)), cfg, score_thresh=0.3)
+        assert sum(map(len, want)) > 10
+        for i, (g_img, w_img) in enumerate(zip(got, want)):
+            assert len(g_img) == len(w_img)
+            for g, w in zip(g_img, w_img):
+                assert (g.image_id, g.class_id) == (i, w.class_id)
+                assert g.score == pytest.approx(w.score, rel=1e-12)
+                for side in ("x1", "y1", "x2", "y2"):
+                    assert getattr(g.box, side) == pytest.approx(getattr(w.box, side), rel=1e-9)
+
+    def test_cost_tape_counts_the_folded_parameters(self):
+        model = D.Detector(D.paper_scale_config(), dtype=np.float32)
+        fused = model.fused()
+        x = Tensor4(np.zeros((1, 1, 64, 64), dtype=np.float32))
+        totals = []
+        for m in (model, fused):
+            with T.no_grad(), C.tracking() as tape:
+                m(x)
+            totals.append(tape.report().total_params)
+        # each of the 33 folds trades a batch norm's 2c for a conv bias of c
+        assert totals == [model.num_scalars(), fused.num_scalars()] == [6_319_388, 6_315_388]
 
 
 class TestPipelineGradient:

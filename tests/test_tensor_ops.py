@@ -399,6 +399,108 @@ class TestDeterminism:
         np.testing.assert_array_equal(run(), run())
 
 
+class TestBufferReuse:
+    """The forward ops write into fresh buffers in place: each equals the
+    plain-expression formula bit for bit, and leaves its inputs alone."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @staticmethod
+    def arrays(dtype, *shapes, seed=23):
+        rng = np.random.default_rng(seed)
+        return [(rng.standard_normal(s) * 3.0).astype(dtype) for s in shapes]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_logistic(self, dtype):
+        (x,) = self.arrays(dtype, (2, 3, 5, 5))
+        x[0, 0, 0, :3] = (-100.0, 100.0, 0.0)  # exp overflow in float32, saturation
+        before = x.copy()
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+        self.assert_same(T._logistic(x), want)
+        self.assert_same(x, before)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batch_norm_inference(self, dtype):
+        x, gamma, beta = self.arrays(dtype, (2, 4, 5, 5), (1, 4, 1, 1), (1, 4, 1, 1))
+        rng = np.random.default_rng(24)
+        stats = T.RunningStats(rng.normal(0.0, 1.0, 4), rng.uniform(0.2, 3.0, 4))
+        inputs = [a.copy() for a in (x, gamma, beta, stats.mean, stats.var)]
+        out = T.batch_norm(T.Tensor4(x), T.Tensor4(gamma), T.Tensor4(beta), stats,
+                           training=False)
+        inv_std = (1.0 / np.sqrt(stats.var.reshape(1, 4, 1, 1) + 1e-5)).astype(dtype)
+        mean = stats.mean.reshape(1, 4, 1, 1).astype(dtype)
+        self.assert_same(out.data, gamma * ((x - mean) * inv_std) + beta)
+        for a, b in zip((x, gamma, beta, stats.mean, stats.var), inputs):
+            self.assert_same(a, b)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_batch_norm_training(self, dtype):
+        x, gamma, beta = self.arrays(dtype, (2, 4, 5, 5), (1, 4, 1, 1), (1, 4, 1, 1))
+        before = x.copy()
+        out = T.batch_norm(T.Tensor4(x), T.Tensor4(gamma), T.Tensor4(beta),
+                           T.RunningStats.create(4), training=True)
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3), keepdims=True) + 1e-5)
+        self.assert_same(out.data, gamma * ((x - mean) * inv_std) + beta)
+        self.assert_same(x, before)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("groups", [1, 2, 6])
+    def test_conv_bias(self, dtype, groups):
+        x, w, b = self.arrays(dtype, (2, 6, 7, 7), (6, 6 // groups, 3, 3), (1, 6, 1, 1))
+        inputs = [a.copy() for a in (x, w, b)]
+        plain = T.conv2d(T.Tensor4(x), T.Tensor4(w), stride=2, pad=1, groups=groups)
+        out = T.conv2d(T.Tensor4(x), T.Tensor4(w), T.Tensor4(b), stride=2, pad=1, groups=groups)
+        self.assert_same(out.data, plain.data + b)
+        for a, b_ in zip((x, w, b), inputs):
+            self.assert_same(a, b_)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_taps(self, dtype, stride):
+        x, w = self.arrays(dtype, (2, 5, 8, 8), (5, 1, 3, 3))
+        inputs = [x.copy(), w.copy()]
+        out = T.depthwise_conv2d(T.Tensor4(x), T.Tensor4(w), stride=stride, pad=1)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        ho = (xp.shape[2] - 3) // stride + 1
+        want = np.zeros((2, 5, ho, ho), dtype=dtype)
+        for i in range(3):
+            for j in range(3):
+                seg = xp[:, :, i:i + stride * ho:stride, j:j + stride * ho:stride]
+                want += seg * w[:, 0, i, j][None, :, None, None]
+        self.assert_same(out.data, want)
+        self.assert_same(x, inputs[0])
+        self.assert_same(w, inputs[1])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bilinear_gather(self, dtype):
+        x, coords = self.arrays(dtype, (2, 3, 6, 6), (2, 2, 4, 4))
+        coords = np.abs(coords)  # mostly inside the 6 x 6 frame, some past its edge
+        before = x.copy()
+        out = T.bilinear_sample(T.Tensor4(x), coords)
+        flat = x.reshape(2, 3, 36)
+        y, xx = coords[:, 0].reshape(2, 16), coords[:, 1].reshape(2, 16)
+        y0, x0 = np.floor(y), np.floor(xx)
+        fy, fx = y - y0, xx - x0
+        want = np.zeros((2, 3, 16), dtype=dtype)
+        for dy, dx, wgt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                            (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
+            yc, xc = y0 + dy, x0 + dx
+            valid = (yc >= 0) & (yc <= 5) & (xc >= 0) & (xc <= 5)
+            idx = (np.clip(yc, 0, 5) * 6 + np.clip(xc, 0, 5)).astype(np.int64)
+            cast = (np.ones((1, 1)) * wgt * valid).astype(dtype)
+            for b in range(2):
+                want[b] += np.take(flat[b], idx[b], axis=1) * cast[b]
+        self.assert_same(out.data, want.reshape(2, 3, 4, 4))
+        self.assert_same(x, before)
+
+
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)
