@@ -142,10 +142,6 @@ class Conv2dLayer(Module):
         self.weight = self._param("weight", w)
         self.bias = self._param("bias", np.zeros((1, c_out, 1, 1), dtype=dtype)) if bias else None
 
-    def spatial_out(self, h: int, w: int) -> tuple[int, int]:
-        return ((h + 2 * self.pad - self.k) // self.stride + 1,
-                (w + 2 * self.pad - self.k) // self.stride + 1)
-
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
         return T.conv2d(x, self.weight.value,
                         bias=self.bias.value if self.bias else None,
@@ -217,17 +213,16 @@ def fold_bn(model: Module) -> Module:
 
 
 class ConvBnSilu(Module):
-    """Conv + batch norm + SiLU, the standard conditioning unit."""
+    """Conv + batch norm + SiLU, the standard conditioning unit; the conv
+    pads by k // 2, as YOLOv8's ``Conv`` does."""
 
     bn_pairs = (("conv", "bn"),)
 
-    def __init__(self, name: str, c_in: int, c_out: int, k: int,
-                 stride: int = 1, pad: int | None = None,
+    def __init__(self, name: str, c_in: int, c_out: int, k: int, stride: int = 1,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name)
-        pad = k // 2 if pad is None else pad
         self.conv = self._child(Conv2dLayer(f"{name}.conv", c_in, c_out, k,
-                                            stride=stride, pad=pad, rng=rng, dtype=dtype))
+                                            stride=stride, pad=k // 2, rng=rng, dtype=dtype))
         self.bn = self._child(BatchNormLayer(f"{name}.bn", c_out, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
@@ -238,6 +233,8 @@ class ConvBnSilu(Module):
 # CBAM: channel then spatial attention
 # ---------------------------------------------------------------------------
 
+CBAM_REDUCTION = 4  # channel-MLP width divisor in the paper's MBConv+CBAM block
+
 
 class CBAM(Module):
     """Sequential channel and spatial gating.
@@ -247,12 +244,13 @@ class CBAM(Module):
     [mean, max] maps) scales each pixel.  Output shape equals input shape.
     """
 
-    def __init__(self, name: str, c: int, reduction: int = 4,
+    def __init__(self, name: str, c: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name)
-        if c < reduction or c % reduction:
-            raise ConfigError(f"{name}: channels {c} must be divisible by reduction {reduction}")
-        hidden = c // reduction
+        if c < CBAM_REDUCTION or c % CBAM_REDUCTION:
+            raise ConfigError(f"{name}: channels {c} must be divisible by "
+                              f"reduction {CBAM_REDUCTION}")
+        hidden = c // CBAM_REDUCTION
         self.c = c
         self.fc1 = self._child(Conv2dLayer(f"{name}.fc1", c, hidden, 1, bias=True,
                                            rng=rng, dtype=dtype))
@@ -279,28 +277,24 @@ class CBAM(Module):
 # MBConv: inverted bottleneck with attention
 # ---------------------------------------------------------------------------
 
+MBCONV_EXPANSION = 6  # hidden width = 6 x input width, the paper's MBConv block
+MBCONV_KERNEL = 3  # depthwise kernel of the paper's MBConv block
+MBCONV_DROPOUT = 0.1  # drop rate on the paper's MBConv projection
+
 
 @dataclass
 class MBConvConfig:
     c_in: int
     c_out: int
-    expansion: int = 6
-    kernel: int = 3
     stride: int = 1
-    dropout_p: float = 0.1
-    attn_reduction: int = 4
 
     def __post_init__(self):
-        if self.expansion < 1:
-            raise ConfigError(f"expansion must be >= 1, got {self.expansion}")
-        if self.kernel % 2 == 0:
-            raise ConfigError(f"kernel must be odd, got {self.kernel}")
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
 
     @property
     def hidden(self) -> int:
-        return self.expansion * self.c_in
+        return MBCONV_EXPANSION * self.c_in
 
     @property
     def has_residual(self) -> bool:
@@ -312,7 +306,7 @@ class MBConvBlock(Module):
     the input and output shapes agree.
 
     SiLU follows the expansion and depthwise stages; the projection stays
-    linear.  An expansion ratio of 1 omits the expansion convolution.
+    linear.
     """
 
     bn_pairs = (("dw", "dw_bn"), ("project", "project_bn"))
@@ -322,28 +316,24 @@ class MBConvBlock(Module):
         super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         h = cfg.hidden
-        if cfg.expansion > 1:
-            self.expand = self._child(ConvBnSilu(f"{name}.expand", cfg.c_in, h, 1,
-                                                 rng=rng, dtype=dtype))
-        else:
-            self.expand = None
-        self.dw = self._child(Conv2dLayer(f"{name}.dw", h, h, cfg.kernel,
-                                          stride=cfg.stride, pad=cfg.kernel // 2,
+        self.expand = self._child(ConvBnSilu(f"{name}.expand", cfg.c_in, h, 1,
+                                             rng=rng, dtype=dtype))
+        self.dw = self._child(Conv2dLayer(f"{name}.dw", h, h, MBCONV_KERNEL,
+                                          stride=cfg.stride, pad=MBCONV_KERNEL // 2,
                                           groups=h, rng=rng, dtype=dtype))
         self.dw_bn = self._child(BatchNormLayer(f"{name}.dw_bn", h, dtype=dtype))
-        self.attn = self._child(CBAM(f"{name}.attn", h, reduction=cfg.attn_reduction,
-                                     rng=rng, dtype=dtype))
+        self.attn = self._child(CBAM(f"{name}.attn", h, rng=rng, dtype=dtype))
         self.project = self._child(Conv2dLayer(f"{name}.project", h, cfg.c_out, 1,
                                                rng=rng, dtype=dtype))
         self.project_bn = self._child(BatchNormLayer(f"{name}.project_bn", cfg.c_out,
                                                      dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        out = self.expand(x, training=training) if self.expand else x
+        out = self.expand(x, training=training)
         out = T.silu(self.dw_bn(self.dw(out), training=training))
         out = self.attn(out, training=training)
         out = self.project_bn(self.project(out), training=training)
-        out = T.dropout(out, self.cfg.dropout_p, training=training,
+        out = T.dropout(out, MBCONV_DROPOUT, training=training,
                         seed=(seed, self._site()))
         if self.cfg.has_residual:
             out = T.add(out, x)
@@ -354,42 +344,24 @@ class MBConvBlock(Module):
 # Partial convolution and the bottleneck-structure block
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class BSConfig:
-    c: int
-    partial_ratio: float = 0.25
-    mlp_expansion: int = 2
-    dropout_p: float = 0.2
-
-    def __post_init__(self):
-        if not (0.0 < self.partial_ratio <= 1.0):
-            raise ConfigError(f"partial_ratio must be in (0, 1], got {self.partial_ratio}")
-        if self.conv_channels < 1:
-            raise ConfigError("partial slice would be empty")
-
-    @property
-    def conv_channels(self) -> int:
-        return int(math.ceil(self.partial_ratio * self.c))
+PARTIAL_RATIO = 0.25  # share of channels a partial conv convolves, from FasterNet
+BS_MLP_EXPANSION = 2  # pointwise MLP hidden width = 2 x c, from FasterNet's block
+BS_DROPOUT = 0.2  # drop rate on the paper's BS-block branch
 
 
 class PartialConv(Module):
-    """3x3 convolution over the first ceil(r*c) channels; the rest pass
+    """3x3 convolution over the first ceil(c/4) channels; the rest pass
     through untouched, output ordered [convolved, untouched]."""
 
-    def __init__(self, name: str, c: int, ratio: float = 0.25,
+    def __init__(self, name: str, c: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name, in_channels=c)
         self.c = c
-        self.cp = int(math.ceil(ratio * c))
-        if self.cp < 1:
-            raise ConfigError(f"{name}: no channels selected for convolution")
+        self.cp = math.ceil(PARTIAL_RATIO * c)
         self.conv = self._child(Conv2dLayer(f"{name}.conv", self.cp, self.cp, 3,
                                             pad=1, rng=rng, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        if self.cp == self.c:
-            return self.conv(x)
         head = T.slice_channels(x, 0, self.cp)
         tail = T.slice_channels(x, self.cp, self.c)
         return T.concat_channels([self.conv(head), tail])
@@ -398,13 +370,11 @@ class PartialConv(Module):
 class BSBlock(Module):
     """Residual block: partial convolution, pointwise MLP, dropout, skip."""
 
-    def __init__(self, name: str, cfg: BSConfig,
+    def __init__(self, name: str, c: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name, in_channels=cfg.c)
-        self.cfg = cfg
-        c, hid = cfg.c, cfg.mlp_expansion * cfg.c
-        self.pconv = self._child(PartialConv(f"{name}.pconv", c, cfg.partial_ratio,
-                                             rng=rng, dtype=dtype))
+        super().__init__(name, in_channels=c)
+        hid = BS_MLP_EXPANSION * c
+        self.pconv = self._child(PartialConv(f"{name}.pconv", c, rng=rng, dtype=dtype))
         self.mlp_in = self._child(Conv2dLayer(f"{name}.mlp_in", c, hid, 1, bias=True,
                                               rng=rng, dtype=dtype))
         self.mlp_out = self._child(Conv2dLayer(f"{name}.mlp_out", hid, c, 1, bias=True,
@@ -413,7 +383,7 @@ class BSBlock(Module):
     def forward(self, x, training=False, seed=0):
         branch = self.pconv(x, training=training)
         branch = self.mlp_out(T.silu(self.mlp_in(branch)))
-        branch = T.dropout(branch, self.cfg.dropout_p, training=training,
+        branch = T.dropout(branch, BS_DROPOUT, training=training,
                            seed=(seed, self._site()))
         return T.add(x, branch)
 
@@ -422,20 +392,18 @@ class BSBlock(Module):
 # GSConv: shuffle-fused downsampling
 # ---------------------------------------------------------------------------
 
+SHUFFLE_GROUPS = 2  # GSConv's two-way shuffle of the dense and depthwise halves
+
 
 @dataclass
 class GSConvConfig:
     c_in: int
     c_out: int  # first-stage width; the block emits 2*c_out channels
     stride: int = 2
-    shuffle_groups: int = 2
 
     def __post_init__(self):
         if self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
-        if (2 * self.c_out) % self.shuffle_groups:
-            raise ConfigError(f"2*c_out={2 * self.c_out} not divisible by "
-                              f"shuffle_groups={self.shuffle_groups}")
 
 
 class GSConvBlock(Module):
@@ -445,7 +413,6 @@ class GSConvBlock(Module):
     def __init__(self, name: str, cfg: GSConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name, in_channels=cfg.c_in)
-        self.cfg = cfg
         self.cbs = self._child(ConvBnSilu(f"{name}.cbs", cfg.c_in, cfg.c_out, 3,
                                           stride=cfg.stride, rng=rng, dtype=dtype))
         self.dw = self._child(Conv2dLayer(f"{name}.dw", cfg.c_out, cfg.c_out, 3,
@@ -454,7 +421,7 @@ class GSConvBlock(Module):
     def forward(self, x, training=False, seed=0):
         fc = self.cbs(x, training=training)
         fd = self.dw(fc)
-        return T.channel_shuffle(T.concat_channels([fc, fd]), self.cfg.shuffle_groups)
+        return T.channel_shuffle(T.concat_channels([fc, fd]), SHUFFLE_GROUPS)
 
 
 class GSBottleneck(Module):
@@ -480,22 +447,8 @@ class GSBottleneck(Module):
 # VKConv: variable-kernel convolution with learned offsets
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class VKConvConfig:
-    c_in: int
-    c_out: int
-    num_params: int = 5
-    stride: int = 1
-    offset_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.num_params < 1:
-            raise ConfigError(f"num_params must be >= 1, got {self.num_params}")
-        if self.offset_scale <= 0:
-            raise ConfigError(f"offset_scale must be > 0, got {self.offset_scale}")
-        if self.stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {self.stride}")
+VK_POINTS = 5  # sampling points K of the paper's VKConv
+VK_OFFSET_SCALE = 0.1  # initial value of VKConv's learnable offset factor
 
 
 def vk_base_coords(num_points: int) -> np.ndarray:
@@ -513,7 +466,7 @@ def vk_base_coords(num_points: int) -> np.ndarray:
 
 
 class VKConv(Module):
-    """Convolution over K arbitrary sampling points.
+    """Stride-1 convolution over K = ``VK_POINTS`` sampling points.
 
     An offset branch predicts 2K per-location displacements, scaled by a
     learnable factor and added to the zero-centered base pattern anchored
@@ -525,38 +478,36 @@ class VKConv(Module):
 
     bn_pairs = (("project", "bn"),)
 
-    def __init__(self, name: str, cfg: VKConvConfig,
+    def __init__(self, name: str, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name, in_channels=cfg.c_in)
-        self.cfg = cfg
-        k = cfg.num_params
+        super().__init__(name, in_channels=c_in)
+        k = VK_POINTS
         self.base = vk_base_coords(k)
         # zero-init offsets: the initial pattern is the fixed base grid
         self.offset_conv = self._child(Conv2dLayer(
-            f"{name}.offset", cfg.c_in, 2 * k, 3, stride=cfg.stride, pad=1,
-            bias=True, zero_init=True, rng=rng, dtype=dtype))
-        self.alpha = self._param("alpha", np.full((1, 1, 1, 1), cfg.offset_scale, dtype=dtype))
+            f"{name}.offset", c_in, 2 * k, 3, pad=1, bias=True, zero_init=True,
+            rng=rng, dtype=dtype))
+        self.alpha = self._param("alpha", np.full((1, 1, 1, 1), VK_OFFSET_SCALE, dtype=dtype))
         self.point_w = self._param("point_w", np.full((1, k, 1, 1), 1.0 / k, dtype=dtype))
-        self.project = self._child(Conv2dLayer(f"{name}.project", cfg.c_in, cfg.c_out, 1,
+        self.project = self._child(Conv2dLayer(f"{name}.project", c_in, c_out, 1,
                                                rng=rng, dtype=dtype))
-        self.bn = self._child(BatchNormLayer(f"{name}.bn", cfg.c_out, dtype=dtype))
+        self.bn = self._child(BatchNormLayer(f"{name}.bn", c_out, dtype=dtype))
 
     def sample_coords(self, x: Tensor4) -> Tensor4:
-        """(n, 2K, ho, wo) sampling coordinates in the offset layout: scaled
-        offsets plus the base pattern at each output location (float64)."""
+        """(n, 2K, h, w) sampling coordinates in the offset layout: scaled
+        offsets plus the base pattern at each pixel (float64)."""
         off = T.mul(self.offset_conv(x), self.alpha.value)
-        _, _, ho, wo = off.shape
-        base = self.base[:, :, None, None] + np.mgrid[0:ho, 0:wo] * float(self.cfg.stride)
-        return T.add(off, Tensor4.const(base.reshape(1, -1, ho, wo)))
+        _, _, h, w = off.shape
+        base = self.base[:, :, None, None] + np.mgrid[0:h, 0:w]
+        return T.add(off, Tensor4.const(base.reshape(1, -1, h, w)))
 
     def forward(self, x, training=False, seed=0):
         acc = T.bilinear_sample(x, self.sample_coords(x), self.point_w.value)
         return T.silu(self.bn(self.project(acc), training=training))
 
     def cost(self, x, out):
-        ho, wo = self.offset_conv.spatial_out(x.shape[2], x.shape[3])
-        kk = self.cfg.num_params
-        return kk + 1, (8 + 2) * kk * self.cfg.c_in * ho * wo  # bilinear gather + contraction
+        _, c, h, w = x.shape
+        return VK_POINTS + 1, (8 + 2) * VK_POINTS * c * h * w  # bilinear gather + contraction
 
 
 # ---------------------------------------------------------------------------
@@ -564,50 +515,29 @@ class VKConv(Module):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AVCStemConfig:
-    c_in: int
-    c_out: int
-    branch_channels: int = 0  # 0 -> max(c_out // 2, 2)
-    vk_points: int = 5
-    vk_offset_scale: float = 0.1
-
-    def __post_init__(self):
-        if self.c_in % 2:
-            raise ConfigError(f"c_in must be even for the bottleneck branch, got {self.c_in}")
-        if self.branch_channels == 0:
-            self.branch_channels = max(self.c_out // 2, 2)
-        if self.branch_channels < 1:
-            raise ConfigError("branch_channels must be >= 1")
-
-
 class AVCStem(Module):
     """Two parallel branches fused under a multiplicative attention gate.
 
-    Branch A is a pointwise conv+BN+SiLU; branch B is a width-preserving
-    shuffle bottleneck modulated elementwise by
-    sigmoid(conv1x1(x) * conv3x3(x)).  The concatenated branches feed a
-    variable-kernel convolution that projects to ``c_out``.
+    Branch A is a pointwise conv+BN+SiLU to max(c_out // 2, 2) channels;
+    branch B is a width-preserving shuffle bottleneck (so ``c_in`` must be
+    even) modulated elementwise by sigmoid(conv1x1(x) * conv3x3(x)).  The
+    concatenated branches feed a variable-kernel convolution that projects
+    to ``c_out``.
     """
 
-    def __init__(self, name: str, cfg: AVCStemConfig,
+    def __init__(self, name: str, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        super().__init__(name, in_channels=cfg.c_in)
-        self.cfg = cfg
-        self.branch_a = self._child(ConvBnSilu(f"{name}.branch_a", cfg.c_in,
-                                               cfg.branch_channels, 1, rng=rng, dtype=dtype))
-        self.branch_b = self._child(GSBottleneck(f"{name}.branch_b", cfg.c_in,
+        super().__init__(name, in_channels=c_in)
+        c_a = max(c_out // 2, 2)
+        self.branch_a = self._child(ConvBnSilu(f"{name}.branch_a", c_in, c_a, 1,
+                                               rng=rng, dtype=dtype))
+        self.branch_b = self._child(GSBottleneck(f"{name}.branch_b", c_in,
                                                  rng=rng, dtype=dtype))
-        self.gate1 = self._child(Conv2dLayer(f"{name}.gate1", cfg.c_in, cfg.c_in, 1,
+        self.gate1 = self._child(Conv2dLayer(f"{name}.gate1", c_in, c_in, 1,
                                              bias=True, rng=rng, dtype=dtype))
-        self.gate3 = self._child(Conv2dLayer(f"{name}.gate3", cfg.c_in, cfg.c_in, 3,
+        self.gate3 = self._child(Conv2dLayer(f"{name}.gate3", c_in, c_in, 3,
                                              pad=1, bias=True, rng=rng, dtype=dtype))
-        self.vk = self._child(VKConv(f"{name}.vk",
-                                     VKConvConfig(c_in=cfg.branch_channels + cfg.c_in,
-                                                  c_out=cfg.c_out,
-                                                  num_params=cfg.vk_points,
-                                                  offset_scale=cfg.vk_offset_scale),
-                                     rng=rng, dtype=dtype))
+        self.vk = self._child(VKConv(f"{name}.vk", c_a + c_in, c_out, rng=rng, dtype=dtype))
 
     def gate(self, x: Tensor4) -> Tensor4:
         return T.sigmoid(T.mul(self.gate1(x), self.gate3(x)))

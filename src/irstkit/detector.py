@@ -21,9 +21,7 @@ from . import metrics
 from . import tensor as T
 from .blocks import (
     AVCStem,
-    AVCStemConfig,
     BSBlock,
-    BSConfig,
     Conv2dLayer,
     ConvBnSilu,
     GSConvBlock,
@@ -44,7 +42,6 @@ LOG_EPS = 1e-7  # probability clamp in bce_loss and dfl_loss; total_loss works o
 # Configuration
 # ---------------------------------------------------------------------------
 
-ALLOWED_DEPTHS = ((1, 2), (3, 6))
 # the stride-2 stem and the stride-2 blocks opening stages a and b put head 0
 # at stride 8; down_34 and down_45 halve the grid twice more
 HEAD_STRIDES = (8, 16, 32)
@@ -54,22 +51,16 @@ HEAD_STRIDES = (8, 16, 32)
 class ModelConfig:
     input_size: int = 96
     widths: tuple[int, int, int, int] = (8, 16, 32, 64)
-    depths: tuple[int, int] = (1, 2)
-    expansion: int = 6
-    kernel: int = 3
     reg_bins: int = 8
     num_classes: int = 1
     in_channels: int = 1
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        self.depths = tuple(self.depths)
         if any(w < 1 for w in self.widths) or len(self.widths) != 4:
             raise ConfigError(f"widths must be four positive ints, got {self.widths}")
         if any(w % 2 for w in self.widths[1:]):
             raise ConfigError(f"stage widths beyond the stem must be even, got {self.widths}")
-        if self.depths not in ALLOWED_DEPTHS:
-            raise ConfigError(f"depths must be one of {ALLOWED_DEPTHS}, got {self.depths}")
         if self.input_size % 32:
             raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
         if self.reg_bins < 2:
@@ -91,7 +82,7 @@ class ModelConfig:
 def paper_scale_config() -> ModelConfig:
     """640x640 configuration with full-scale stage widths, used by the
     complexity accounting to bracket production-size cost totals."""
-    return ModelConfig(input_size=640, widths=(16, 32, 64, 144), depths=(1, 2))
+    return ModelConfig(input_size=640, widths=(16, 32, 64, 144))
 
 
 @dataclass
@@ -152,55 +143,41 @@ class Detector(Module):
         self.cfg = cfg
         rng = np.random.default_rng(init_seed)
         w0, w1, w2, w3 = cfg.widths
-        mb = dict(expansion=cfg.expansion, kernel=cfg.kernel)
 
         self.stem = self._child(ConvBnSilu("model.stem", cfg.in_channels, w0, 3,
                                            stride=2, rng=rng, dtype=dtype))
-        # shallow stages: inverted bottlenecks, repeated per the depth axis
-        stage_a = [MBConvBlock("model.a0", MBConvConfig(w0, w1, stride=2, **mb),
-                               rng=rng, dtype=dtype)]
-        stage_a += [MBConvBlock(f"model.a{i}", MBConvConfig(w1, w1, **mb), rng=rng, dtype=dtype)
-                    for i in range(1, cfg.depths[0])]
-        self.stage_a = [self._child(b) for b in stage_a]
-        stage_b = [MBConvBlock("model.b0", MBConvConfig(w1, w2, stride=2, **mb),
-                               rng=rng, dtype=dtype)]
-        stage_b += [MBConvBlock(f"model.b{i}", MBConvConfig(w2, w2, **mb), rng=rng, dtype=dtype)
-                    for i in range(1, cfg.depths[1])]
-        self.stage_b = [self._child(b) for b in stage_b]
+        # shallow stages: inverted bottlenecks, one in stage a and two in stage b
+        self.a0 = self._child(MBConvBlock("model.a0", MBConvConfig(w0, w1, stride=2),
+                                          rng=rng, dtype=dtype))
+        self.b0 = self._child(MBConvBlock("model.b0", MBConvConfig(w1, w2, stride=2),
+                                          rng=rng, dtype=dtype))
+        self.b1 = self._child(MBConvBlock("model.b1", MBConvConfig(w2, w2),
+                                          rng=rng, dtype=dtype))
         # deep stages: strided conv then partial-conv bottleneck
         self.down_c = self._child(ConvBnSilu("model.down_c", w2, w3, 3, stride=2,
                                              rng=rng, dtype=dtype))
-        self.bs_c = self._child(BSBlock("model.bs_c", BSConfig(w3), rng=rng, dtype=dtype))
+        self.bs_c = self._child(BSBlock("model.bs_c", w3, rng=rng, dtype=dtype))
         self.down_d = self._child(ConvBnSilu("model.down_d", w3, w3, 3, stride=2,
                                              rng=rng, dtype=dtype))
-        self.bs_d = self._child(BSBlock("model.bs_d", BSConfig(w3), rng=rng, dtype=dtype))
+        self.bs_d = self._child(BSBlock("model.bs_d", w3, rng=rng, dtype=dtype))
         # neck: top-down fusion then bottom-up re-aggregation
-        self.fuse_t4 = self._child(AVCStem("model.fuse_t4", AVCStemConfig(2 * w3, w3),
-                                           rng=rng, dtype=dtype))
-        self.fuse_t3 = self._child(AVCStem("model.fuse_t3", AVCStemConfig(w3 + w2, w2),
-                                           rng=rng, dtype=dtype))
+        self.fuse_t4 = self._child(AVCStem("model.fuse_t4", 2 * w3, w3, rng=rng, dtype=dtype))
+        self.fuse_t3 = self._child(AVCStem("model.fuse_t3", w3 + w2, w2, rng=rng, dtype=dtype))
         self.down_34 = self._child(GSConvBlock("model.down_34",
                                                GSConvConfig(w2, w2 // 2, stride=2),
                                                rng=rng, dtype=dtype))
-        self.fuse_m4 = self._child(AVCStem("model.fuse_m4", AVCStemConfig(w2 + w3, w3),
-                                           rng=rng, dtype=dtype))
+        self.fuse_m4 = self._child(AVCStem("model.fuse_m4", w2 + w3, w3, rng=rng, dtype=dtype))
         self.down_45 = self._child(GSConvBlock("model.down_45",
                                                GSConvConfig(w3, w3 // 2, stride=2),
                                                rng=rng, dtype=dtype))
-        self.fuse_m5 = self._child(AVCStem("model.fuse_m5", AVCStemConfig(2 * w3, w3),
-                                           rng=rng, dtype=dtype))
+        self.fuse_m5 = self._child(AVCStem("model.fuse_m5", 2 * w3, w3, rng=rng, dtype=dtype))
         self.heads = [self._child(Head(f"model.head{i}", c, cfg.head_channels, rng, dtype))
                       for i, c in enumerate((w2, w3, w3))]
         self.dtype = dtype
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> list[Tensor4]:
         kw = dict(training=training, seed=seed)
-        out = self.stem(x, **kw)
-        for b in self.stage_a:
-            out = b(out, **kw)
-        for b in self.stage_b:
-            out = b(out, **kw)
-        c3 = out
+        c3 = self.b1(self.b0(self.a0(self.stem(x, **kw), **kw), **kw), **kw)
         c4 = self.bs_c(self.down_c(c3, **kw), **kw)
         c5 = self.bs_d(self.down_d(c4, **kw), **kw)
 
@@ -213,9 +190,9 @@ class Detector(Module):
     def fused(self) -> "Detector":
         """Inference-only copy with each batch norm folded into the conv before
         it (``blocks.fold_bn``): its heads equal this model's inference-mode
-        heads up to rounding, with 33 fewer batch-norm passes per forward at
-        the default depths.  ``self`` is unchanged and the copy shares its
-        unfolded parameters; build a new copy after the weights change."""
+        heads up to rounding, with 33 fewer batch-norm passes per forward.
+        ``self`` is unchanged and the copy shares its unfolded parameters;
+        build a new copy after the weights change."""
         return fold_bn(self)
 
 
@@ -551,7 +528,7 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,
     raw: list[list[list[Detection]]] = [[[] for _ in range(ncls)] for _ in range(n)]
     for scale, out in enumerate(outs):
         stride = cfg.strides[scale]
-        scores = 1.0 / (1.0 + np.exp(-out[:, :ncls]))
+        scores = T._logistic(out[:, :ncls])
         bs, cs, ys, xs = np.nonzero(scores >= score_thresh)
         # (bin, cell, side): the bin axis stays outside the innermost one, as
         # on the full grid, so every sum over bins adds in the same order
@@ -680,56 +657,25 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
 
 
 def train_loop(model: Detector, images: np.ndarray, gts, tcfg: TrainConfig,
-               weights: LossWeights = LossWeights(),
-               max_steps: int | None = None,
-               stop_map: float | None = None,
-               stop_loss_ratio: float | None = None,
-               eval_every: int = 50,
-               log_fn=None) -> list[dict]:
-    """Seeded full training loop over an in-memory dataset.
-
-    Batches follow a per-epoch seeded shuffle.  When ``stop_map`` is set
-    the loop evaluates the training set every ``eval_every`` steps and
-    stops once the mAP target and the loss-drop ratio (if given) are both
-    met.  Identical configs and data give identical loss records.
+               weights: LossWeights = LossWeights(), log_fn=None) -> list[dict]:
+    """Seeded full training loop over an in-memory dataset: ``tcfg.epochs``
+    epochs, with batches from a per-epoch seeded shuffle.  Each step's
+    record goes to ``log_fn`` (when given) as it is made.  Identical
+    configs and data give identical loss records.
     """
     n = images.shape[0]
     steps_per_epoch = max(1, math.ceil(n / tcfg.batch))
     total_steps = tcfg.epochs * steps_per_epoch
-    if max_steps is not None:
-        total_steps = min(total_steps, max_steps)
     optimizer = AdamW(model.parameters(), beta2=tcfg.beta2)
     records: list[dict] = []
     rng = np.random.default_rng(tcfg.seed)
-    first_total = None
-    step = 0
     for _epoch in range(tcfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, tcfg.batch):
-            if step >= total_steps:
-                return records
             idx = order[lo:lo + tcfg.batch]
             rec = train_step(model, optimizer, images[idx], [gts[i] for i in idx],
-                             step, total_steps, steps_per_epoch, tcfg, weights)
+                             len(records), total_steps, steps_per_epoch, tcfg, weights)
             records.append(rec)
             if log_fn:
                 log_fn(rec)
-            if first_total is None:
-                first_total = rec["total"]
-            step += 1
-            if stop_map is not None and step % eval_every == 0:
-                ratio_ok = (stop_loss_ratio is None
-                            or rec["total"] <= first_total / stop_loss_ratio)
-                if ratio_ok and _train_set_map(model, images, gts) >= stop_map:
-                    return records
     return records
-
-
-def _train_set_map(model: Detector, images: np.ndarray, gts) -> float:
-    dets = predict(model, images)
-    flat = [d for per in dets for d in per]
-    gt_boxes = [metrics.GTBox(i, g.class_id, gt_to_box(g, model.cfg.input_size))
-                for i, per in enumerate(gts) for g in per]
-    if not gt_boxes:
-        return 0.0
-    return metrics.map50(flat, gt_boxes)

@@ -15,7 +15,7 @@ class ShapeError(ToolkitError):
 
 
 class ConfigError(ToolkitError):
-    """A configuration value is invalid (bad group count, ratio, width...)."""
+    """A configuration value is invalid (bad group count, stride, width...)."""
 
 
 class NumericError(ToolkitError):

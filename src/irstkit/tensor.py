@@ -215,8 +215,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(root: Tensor4) -> None:
     """Populate gradients of all reachable tensors that require them.
 
-    ``root`` must hold a single element.  Gradients accumulate additively,
-    so a tensor consumed twice receives the sum of both path gradients.
+    ``root`` must hold a single element.  Each gradient has its tensor's
+    dtype.  Gradients accumulate additively, so a tensor consumed twice
+    receives the sum of both path gradients.
     """
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
@@ -250,6 +251,10 @@ def backward(root: Tensor4) -> None:
                 raise ShapeError(
                     f"gradient shape {g.shape} != tensor shape {parent.data.shape} "
                     f"in backward of {node.op.op_kind}")
+            if g.dtype != parent.data.dtype:
+                # a float32 tensor that met a float64 one (VKConv's sampling
+                # coordinates) still gets a float32 gradient
+                g = g.astype(parent.data.dtype)
             if parent.grad is None:
                 # copy when the closure handed back a view or the node's own
                 # grad buffer; later += must not corrupt shared storage
@@ -710,8 +715,9 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
         ho = (xp.shape[2] - k) // stride + 1
         wo = (xp.shape[3] - k) // stride + 1
         wv = weight.data[:, 0]  # (c, k, k)
-        out = np.zeros((n, c_in, ho, wo), dtype=xp.dtype)
-        prod = np.empty(out.shape, dtype=np.result_type(xp, wv))  # one buffer for all taps
+        # promotes x and w as the grouped path's matmul does
+        out = np.zeros((n, c_in, ho, wo), dtype=np.result_type(xp, wv))
+        prod = np.empty_like(out)  # one buffer for all taps
         for i in range(k):
             for j in range(k):
                 seg = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
@@ -778,6 +784,7 @@ def depthwise_conv2d(x: Tensor4, weight: Tensor4, stride: int = 1, pad: int = 0)
 
 
 BN_EPS = 1e-5  # batch norm's variance floor, shared with the inference-time fold
+BN_MOMENTUM = 0.1  # running-stat update rate, PyTorch's BatchNorm2d default
 
 
 @dataclass
@@ -786,11 +793,10 @@ class RunningStats:
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
 
     @staticmethod
-    def create(channels: int, momentum: float = 0.1) -> "RunningStats":
-        return RunningStats(np.zeros(channels), np.ones(channels), momentum)
+    def create(channels: int) -> "RunningStats":
+        return RunningStats(np.zeros(channels), np.ones(channels))
 
 
 def _normalize_affine(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
@@ -805,13 +811,12 @@ def _normalize_affine(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
 
 
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
-               running_stats: RunningStats, training: bool,
-               eps: float = BN_EPS) -> Tensor4:
-    """Channelwise batch normalisation.
+               running_stats: RunningStats, training: bool) -> Tensor4:
+    """Channelwise batch normalisation with variance floor ``BN_EPS``.
 
     Training mode normalises by batch statistics over (n, h, w) and updates
-    the running stats in place with momentum; inference mode uses the
-    running stats.
+    the running stats in place with momentum ``BN_MOMENTUM``; inference
+    mode uses the running stats.
     """
     n, c, h, w = x.data.shape
     if gamma.data.shape != (1, c, 1, 1) or beta.data.shape != (1, c, 1, 1):
@@ -822,10 +827,10 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
             raise NumericError("batch norm in training mode needs n*h*w > 1")
         mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
         var = x.data.var(axis=(0, 2, 3), keepdims=True)
-        mom = running_stats.momentum
-        running_stats.mean = (1 - mom) * running_stats.mean + mom * mean.reshape(-1)
-        running_stats.var = (1 - mom) * running_stats.var + mom * var.reshape(-1)
-        inv_std = 1.0 / np.sqrt(var + eps)
+        decay = 1 - BN_MOMENTUM
+        running_stats.mean = decay * running_stats.mean + BN_MOMENTUM * mean.reshape(-1)
+        running_stats.var = decay * running_stats.var + BN_MOMENTUM * var.reshape(-1)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
 
         def back(g):
@@ -836,7 +841,7 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
         return _make(out, "batch_norm", (x, gamma, beta), back)
 
-    inv_std = (1.0 / np.sqrt(running_stats.var.reshape(1, c, 1, 1) + eps)).astype(x.data.dtype)
+    inv_std = (1.0 / np.sqrt(running_stats.var.reshape(1, c, 1, 1) + BN_EPS)).astype(x.data.dtype)
     mean = running_stats.mean.reshape(1, c, 1, 1).astype(x.data.dtype)
     xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
 
@@ -860,7 +865,7 @@ def dropout(x: Tensor4, p: float, training: bool, seed: int = 0) -> Tensor4:
     rng = np.random.default_rng(seed)
     keep = rng.random(x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
-    factor = keep * scale
+    factor = (keep * scale).astype(x.data.dtype, copy=False)  # float32 stays float32
     out = x.data * factor
     return _make(out, "dropout", (x,), lambda g: (g * factor,))
 

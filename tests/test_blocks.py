@@ -34,7 +34,7 @@ def fd_block(module, x, tol=1e-5, **fw):
 
 class TestCBAM:
     def test_zero_weights_quarter_scaling(self):
-        cbam = B.CBAM("cbam", 8, reduction=4)
+        cbam = B.CBAM("cbam", 8)
         zero_params(cbam)
         x = rand_input((2, 8, 5, 5), seed=1)
         out = cbam(x)
@@ -42,12 +42,12 @@ class TestCBAM:
 
     def test_output_shape_matches_input(self):
         for shape in ((1, 8, 3, 3), (2, 16, 7, 5)):
-            cbam = B.CBAM("cbam", shape[1], reduction=4)
+            cbam = B.CBAM("cbam", shape[1])
             x = rand_input(shape, seed=2)
             assert cbam(x).shape == shape
 
     def test_gate_values_in_open_interval(self):
-        cbam = B.CBAM("cbam", 8, reduction=4, rng=np.random.default_rng(3))
+        cbam = B.CBAM("cbam", 8, rng=np.random.default_rng(3))
         x = rand_input((2, 8, 6, 6), seed=3)
         avg = T.pool_global(x, "avg")
         mx = T.pool_global(x, "max")
@@ -62,16 +62,16 @@ class TestCBAM:
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ConfigError):
-            B.CBAM("cbam", 6, reduction=4)
+            B.CBAM("cbam", 6)
 
     def test_gradient(self):
-        cbam = B.CBAM("cbam", 4, reduction=4, rng=np.random.default_rng(4))
+        cbam = B.CBAM("cbam", 4, rng=np.random.default_rng(4))
         fd_block(cbam, rand_input((1, 4, 6, 6), seed=4))
 
 
 class TestMBConv:
     def test_hidden_width_is_expansion_times_input(self):
-        cfg = B.MBConvConfig(c_in=16, c_out=32, expansion=6)
+        cfg = B.MBConvConfig(c_in=16, c_out=32)
         block = B.MBConvBlock("mb", cfg)
         assert cfg.hidden == 96
         assert block.dw.c_in == 96
@@ -105,30 +105,20 @@ class TestMBConv:
         out = block(rand_input((1, 4, 8, 8), seed=7))
         assert out.shape == (1, 8, 4, 4)
 
-    def test_expansion_one_skips_expand_conv(self):
-        block = B.MBConvBlock("mb", B.MBConvConfig(8, 8, expansion=1),
-                              rng=np.random.default_rng(8))
-        assert block.expand is None
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            B.MBConvConfig(8, 8, kernel=4)
-
     def test_gradient(self):
-        block = B.MBConvBlock("mb", B.MBConvConfig(4, 4, attn_reduction=4),
-                              rng=np.random.default_rng(9))
+        block = B.MBConvBlock("mb", B.MBConvConfig(4, 4), rng=np.random.default_rng(9))
         fd_block(block, rand_input((1, 4, 6, 6), seed=9))
 
 
 class TestPartialConv:
     def test_untouched_channels_bitwise_equal(self):
-        pc = B.PartialConv("pc", 8, 0.25, rng=np.random.default_rng(10))
+        pc = B.PartialConv("pc", 8, rng=np.random.default_rng(10))
         x = rand_input((2, 8, 5, 5), seed=10)
         out = pc(x)
         np.testing.assert_array_equal(out.data[:, 2:], x.data[:, 2:])
 
     def test_delta_kernel_identity(self):
-        pc = B.PartialConv("pc", 8, 0.25)
+        pc = B.PartialConv("pc", 8)
         w = np.zeros_like(pc.conv.weight.value.data)
         for c in range(pc.cp):
             w[c, c, 1, 1] = 1.0
@@ -137,30 +127,29 @@ class TestPartialConv:
         np.testing.assert_allclose(pc(x).data, x.data, atol=1e-12)
 
     def test_quarter_ratio_channel_count(self):
-        assert B.PartialConv("pc", 8, 0.25).cp == 2
-        assert B.BSConfig(c=8).conv_channels == 2
-        assert B.BSConfig(c=10).conv_channels == 3  # ceil rounding
+        assert B.PartialConv("pc", 8).cp == 2
+        assert B.PartialConv("pc", 10).cp == 3  # ceil rounding
 
     def test_gradient(self):
-        pc = B.PartialConv("pc", 8, 0.25, rng=np.random.default_rng(12))
+        pc = B.PartialConv("pc", 8, rng=np.random.default_rng(12))
         fd_block(pc, rand_input((1, 8, 6, 6), seed=12))
 
 
 class TestBSBlock:
     def test_zero_projection_is_identity_in_inference(self):
-        block = B.BSBlock("bs", B.BSConfig(c=8), rng=np.random.default_rng(13))
+        block = B.BSBlock("bs", 8, rng=np.random.default_rng(13))
         block.mlp_out.weight.value.data[:] = 0.0
         block.mlp_out.bias.value.data[:] = 0.0
         x = rand_input((2, 8, 5, 5), seed=13)
         np.testing.assert_allclose(block(x, training=False).data, x.data, atol=1e-12)
 
     def test_shape_preserved(self):
-        block = B.BSBlock("bs", B.BSConfig(c=12), rng=np.random.default_rng(14))
+        block = B.BSBlock("bs", 12, rng=np.random.default_rng(14))
         x = rand_input((2, 12, 7, 7), seed=14)
         assert block(x).shape == x.shape
 
     def test_zeroed_branch_jacobian_is_identity(self):
-        block = B.BSBlock("bs", B.BSConfig(c=4), rng=np.random.default_rng(15))
+        block = B.BSBlock("bs", 4, rng=np.random.default_rng(15))
         block.mlp_out.weight.value.data[:] = 0.0
         block.mlp_out.bias.value.data[:] = 0.0
         x = Tensor4(RNG.standard_normal((1, 4, 4, 4)), requires_grad=True)
@@ -170,7 +159,7 @@ class TestBSBlock:
         np.testing.assert_allclose(x.grad, proj.data, atol=1e-12)
 
     def test_gradient(self):
-        block = B.BSBlock("bs", B.BSConfig(c=8), rng=np.random.default_rng(16))
+        block = B.BSBlock("bs", 8, rng=np.random.default_rng(16))
         fd_block(block, rand_input((1, 8, 6, 6), seed=16))
 
 
@@ -189,16 +178,6 @@ class TestGSConv:
         block.dw.weight.value.data = w
         out = block(rand_input((1, 4, 8, 8), seed=18)).data
         np.testing.assert_array_equal(out[:, 0::2], out[:, 1::2])
-
-    def test_single_group_shuffle_is_plain_concat(self):
-        rng = np.random.default_rng(19)
-        b1 = B.GSConvBlock("gs", B.GSConvConfig(4, 6, stride=2, shuffle_groups=1), rng=rng)
-        x = rand_input((1, 4, 8, 8), seed=19)
-        out = b1(x)
-        fc = b1.cbs(x)
-        fd = b1.dw(fc)
-        expected = T.concat_channels([fc, fd])
-        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_gradient(self):
         block = B.GSConvBlock("gs", B.GSConvConfig(4, 4, stride=2),
@@ -267,20 +246,18 @@ class TestVKBaseCoords:
             np.testing.assert_allclose(B.vk_base_coords(k).mean(axis=0), 0.0, atol=1e-12)
 
 
-def naive_fixed_gather(xd, base, point_w, stride):
+def naive_fixed_gather(xd, base, point_w):
     """Direct-loop bilinear gather at the zero-offset base pattern."""
     n, c, h, w = xd.shape
-    ho = (h + 2 - 3) // stride + 1
-    wo = (w + 2 - 3) // stride + 1
-    out = np.zeros((n, c, ho, wo))
+    out = np.zeros((n, c, h, w))
     for b in range(n):
         for ch in range(c):
-            for i in range(ho):
-                for j in range(wo):
+            for i in range(h):
+                for j in range(w):
                     acc = 0.0
                     for k, (dy, dx) in enumerate(base):
-                        y = i * stride + dy
-                        x = j * stride + dx
+                        y = i + dy
+                        x = j + dx
                         y0, x0 = int(np.floor(y)), int(np.floor(x))
                         fy, fx = y - y0, x - x0
                         val = 0.0
@@ -298,19 +275,16 @@ def naive_fixed_gather(xd, base, point_w, stride):
 
 class TestVKConv:
     def test_zero_offsets_match_fixed_pattern_gather_oracle(self):
-        cfg = B.VKConvConfig(c_in=3, c_out=4, num_params=5)
-        vk = B.VKConv("vk", cfg, rng=np.random.default_rng(25))
+        vk = B.VKConv("vk", 3, 4, rng=np.random.default_rng(25))
         x = rand_input((2, 3, 6, 6), seed=25)
         # offsets are zero-initialized, so sampling sits on the base pattern
-        acc_oracle = naive_fixed_gather(x.data, vk.base,
-                                        vk.point_w.value.data.reshape(-1), cfg.stride)
+        acc_oracle = naive_fixed_gather(x.data, vk.base, vk.point_w.value.data.reshape(-1))
         out = vk(x, training=False)
         expected = T.silu(vk.bn(vk.project(Tensor4(acc_oracle)), training=False))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
 
     def test_doubling_alpha_doubles_displacement(self):
-        cfg = B.VKConvConfig(c_in=2, c_out=2, num_params=3)
-        vk = B.VKConv("vk", cfg, rng=np.random.default_rng(26))
+        vk = B.VKConv("vk", 2, 2, rng=np.random.default_rng(26))
         rng = np.random.default_rng(27)
         vk.offset_conv.weight.value.data = rng.normal(
             0, 0.5, vk.offset_conv.weight.value.data.shape)
@@ -319,9 +293,9 @@ class TestVKConv:
         def displacements():
             coords = vk.sample_coords(x).data
             disp = []
-            for k in range(cfg.num_params):
-                gy = np.arange(5)[:, None] * cfg.stride + vk.base[k, 0]
-                gx = np.arange(5)[None, :] * cfg.stride + vk.base[k, 1]
+            for k in range(B.VK_POINTS):
+                gy = np.arange(5)[:, None] + vk.base[k, 0]
+                gx = np.arange(5)[None, :] + vk.base[k, 1]
                 coord = coords[:, 2 * k:2 * k + 2]
                 disp.append(coord - np.stack(np.broadcast_arrays(gy, gx))[None])
             return np.array(disp)
@@ -332,25 +306,18 @@ class TestVKConv:
         np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-12)
 
     def test_default_config_offset_channels(self):
-        vk = B.VKConv("vk", B.VKConvConfig(c_in=4, c_out=4))
+        vk = B.VKConv("vk", 4, 4)
         assert vk.offset_conv.c_out == 10  # 2 coordinates per sampling point
 
-    def test_stride_follows_config(self):
-        vk = B.VKConv("vk", B.VKConvConfig(c_in=2, c_out=3, stride=2),
-                      rng=np.random.default_rng(28))
-        out = vk(rand_input((1, 2, 8, 8), seed=28))
-        assert out.shape == (1, 3, 4, 4)
-
     def test_gradient(self):
-        vk = B.VKConv("vk", B.VKConvConfig(c_in=4, c_out=4),
-                      rng=np.random.default_rng(29))
+        vk = B.VKConv("vk", 4, 4, rng=np.random.default_rng(29))
         # non-zero offsets so the coordinate gradient path is exercised
         vk.offset_conv.weight.value.data = np.random.default_rng(30).normal(
             0, 0.3, vk.offset_conv.weight.value.data.shape)
         fd_block(vk, rand_input((1, 4, 6, 6), seed=29))
 
     def test_gradient_wrt_sampling_parameters(self):
-        vk = B.VKConv("vk", B.VKConvConfig(c_in=3, c_out=2), rng=np.random.default_rng(36))
+        vk = B.VKConv("vk", 3, 2, rng=np.random.default_rng(36))
         rng = np.random.default_rng(37)
         for p in (vk.offset_conv.weight, vk.offset_conv.bias, vk.point_w):
             p.value.data = rng.normal(0, 0.3, p.value.data.shape)
@@ -365,33 +332,29 @@ class TestVKConv:
 
 class TestAVCStem:
     def test_zero_gate_weights_give_half_gate(self):
-        stem = B.AVCStem("stem", B.AVCStemConfig(c_in=8, c_out=8),
-                         rng=np.random.default_rng(31))
+        stem = B.AVCStem("stem", 8, 8, rng=np.random.default_rng(31))
         zero_params(stem.gate1)
         zero_params(stem.gate3)
         x = rand_input((1, 8, 5, 5), seed=31)
         np.testing.assert_allclose(stem.gate(x).data, 0.5, atol=1e-12)
 
     def test_output_channels_fixed_by_config(self):
-        stem = B.AVCStem("stem", B.AVCStemConfig(c_in=6, c_out=10),
-                         rng=np.random.default_rng(32))
+        stem = B.AVCStem("stem", 6, 10, rng=np.random.default_rng(32))
         for hw in (5, 8):
             out = stem(rand_input((1, 6, hw, hw), seed=32))
             assert out.shape == (1, 10, hw, hw)
 
     def test_gate_values_in_open_interval(self):
-        stem = B.AVCStem("stem", B.AVCStemConfig(c_in=8, c_out=8),
-                         rng=np.random.default_rng(33))
+        stem = B.AVCStem("stem", 8, 8, rng=np.random.default_rng(33))
         g = stem.gate(rand_input((2, 8, 6, 6), seed=33)).data
         assert np.all(g > 0) and np.all(g < 1)
 
     def test_odd_input_width_rejected(self):
         with pytest.raises(ConfigError):
-            B.AVCStemConfig(c_in=7, c_out=8)
+            B.AVCStem("stem", 7, 8)
 
     def test_gradient(self):
-        stem = B.AVCStem("stem", B.AVCStemConfig(c_in=4, c_out=4),
-                         rng=np.random.default_rng(34))
+        stem = B.AVCStem("stem", 4, 4, rng=np.random.default_rng(34))
         fd_block(stem, rand_input((1, 4, 6, 6), seed=34))
 
 
@@ -399,12 +362,12 @@ class TestInferencePurity:
     """Inference-mode forward is a pure function: two calls bit-identical."""
 
     @pytest.mark.parametrize("factory", [
-        lambda rng: B.MBConvBlock("m", B.MBConvConfig(4, 4, attn_reduction=4), rng=rng),
-        lambda rng: B.BSBlock("b", B.BSConfig(c=8), rng=rng),
+        lambda rng: B.MBConvBlock("m", B.MBConvConfig(4, 4), rng=rng),
+        lambda rng: B.BSBlock("b", 8, rng=rng),
         lambda rng: B.GSConvBlock("g", B.GSConvConfig(4, 4), rng=rng),
         lambda rng: B.GSBottleneck("gb", 4, rng=rng),
-        lambda rng: B.VKConv("v", B.VKConvConfig(c_in=4, c_out=4), rng=rng),
-        lambda rng: B.AVCStem("s", B.AVCStemConfig(c_in=4, c_out=4), rng=rng),
+        lambda rng: B.VKConv("v", 4, 4, rng=rng),
+        lambda rng: B.AVCStem("s", 4, 4, rng=rng),
     ])
     def test_double_forward_bit_identical(self, factory):
         block = factory(np.random.default_rng(35))
@@ -444,7 +407,7 @@ class TestFoldBn:
     @pytest.mark.parametrize("factory, c", [
         (lambda rng: TestFoldBn.BiasedPair(rng), 3),  # the conv's own bias carries over
         (lambda rng: B.MBConvBlock("m", B.MBConvConfig(4, 8, stride=2), rng=rng), 4),
-        (lambda rng: B.VKConv("v", B.VKConvConfig(c_in=4, c_out=6), rng=rng), 4),
+        (lambda rng: B.VKConv("v", 4, 6, rng=rng), 4),
         (lambda rng: B.GSConvBlock("g", B.GSConvConfig(4, 4), rng=rng), 4),
     ])
     def test_folded_block_matches_inference_forward(self, factory, c):
@@ -468,10 +431,10 @@ class TestInputGuard:
     @pytest.mark.parametrize("factory, c", [
         (lambda: B.MBConvBlock("blk", B.MBConvConfig(4, 4)), 4),
         (lambda: B.PartialConv("blk", 8), 8),
-        (lambda: B.BSBlock("blk", B.BSConfig(c=8)), 8),
+        (lambda: B.BSBlock("blk", 8), 8),
         (lambda: B.GSConvBlock("blk", B.GSConvConfig(4, 4)), 4),
-        (lambda: B.VKConv("blk", B.VKConvConfig(c_in=4, c_out=4)), 4),
-        (lambda: B.AVCStem("blk", B.AVCStemConfig(c_in=4, c_out=4)), 4),
+        (lambda: B.VKConv("blk", 4, 4), 4),
+        (lambda: B.AVCStem("blk", 4, 4), 4),
     ])
     def test_wrong_channel_count_raises(self, factory, c):
         with pytest.raises(ShapeError, match=rf"^blk: expected {c} channels, got {c + 2}$"):
@@ -489,7 +452,7 @@ class TestCheckpoint:
 
     def test_own_params_precede_children(self):
         # VKConv holds parameters of its own beside its child layers
-        vk = B.VKConv("vk", B.VKConvConfig(2, 2))
+        vk = B.VKConv("vk", 2, 2)
         names = ["vk.alpha", "vk.point_w", "vk.offset.weight", "vk.offset.bias",
                  "vk.project.weight", "vk.bn.gamma", "vk.bn.beta"]
         assert [p.value.name for p in vk.parameters()] == names
@@ -498,15 +461,13 @@ class TestCheckpoint:
 
     def test_round_trip_restores_outputs(self, tmp_path):
         rng = np.random.default_rng(36)
-        src = B.AVCStem("stem", B.AVCStemConfig(c_in=4, c_out=6), rng=rng,
-                        dtype=np.float32)
+        src = B.AVCStem("stem", 4, 6, rng=rng, dtype=np.float32)
         x = Tensor4(np.random.default_rng(37).standard_normal((1, 4, 6, 6)).astype(np.float32))
         src(x, training=True)  # move running stats away from their defaults
         before = src(x, training=False).data.copy()
         B.save_checkpoint(src, tmp_path / "ckpt")
 
-        dst = B.AVCStem("stem", B.AVCStemConfig(c_in=4, c_out=6),
-                        rng=np.random.default_rng(99), dtype=np.float32)
+        dst = B.AVCStem("stem", 4, 6, rng=np.random.default_rng(99), dtype=np.float32)
         assert not np.allclose(dst(x, training=False).data, before)
         B.load_checkpoint(dst, tmp_path / "ckpt")
         # float32 parameters survive the float32 snapshot format bit-exactly

@@ -312,6 +312,13 @@ class TestDecode:
         dets = D.decode(outs, cfg)
         assert dets == [[]]
 
+    def test_confident_float32_background_decodes_silently(self):
+        # exp(100) overflows float32; the warnings filter turns a warning into a failure
+        cfg = D.ModelConfig(input_size=64)
+        outs = [np.full((1, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)), -100.0,
+                        dtype=np.float32) for s in range(3)]
+        assert D.decode(outs, cfg) == [[]]
+
     def test_single_hot_cell_single_detection(self):
         cfg = D.ModelConfig()
         outs = [np.full((1, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)), -40.0)
@@ -525,9 +532,17 @@ class TestModelBuild:
             outs = model.forward(x, training=False)
         assert all(np.isfinite(o.data).all() for o in outs)
 
-    def test_bad_depths_rejected(self):
-        with pytest.raises(ConfigError):
-            D.ModelConfig(depths=(2, 2))
+    @pytest.mark.parametrize("build", [
+        lambda: D.ModelConfig(depths=(1, 2)),
+        lambda: D.ModelConfig(expansion=6),
+        lambda: D.ModelConfig(kernel=3),
+        lambda: B.MBConvConfig(8, 8, expansion=6),
+        lambda: B.GSConvConfig(4, 4, shuffle_groups=2),
+        lambda: D.train_loop(None, None, None, D.TrainConfig(), stop_map=0.5),
+    ], ids=["depths", "expansion", "kernel", "mbconv_expansion", "shuffle_groups", "stop_map"])
+    def test_fixed_hyperparameter_is_not_settable(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_input_size_multiple_of_32(self):
         with pytest.raises(ConfigError):
@@ -586,7 +601,7 @@ class TestFused:
         # unfolded parameters are shared, folded convs get new arrays
         assert fused.heads[0].out.weight.value.data is model.heads[0].out.weight.value.data
         assert fused.stem.conv.weight.value.data is not model.stem.conv.weight.value.data
-        assert type(fused.stage_a[0]) is B.MBConvBlock
+        assert type(fused.a0) is B.MBConvBlock
 
     def test_original_state_unchanged(self):
         model = randomize_bn(D.Detector(D.ModelConfig(), init_seed=4), seed=7)
@@ -689,6 +704,30 @@ class TestTrainingDeterminism:
         assert len(r1) == len(r2) == 8
         for a, b in zip(r1, r2):
             assert a == b
+
+    def test_log_fn_receives_every_record_in_order(self):
+        cfg = micro_config()
+        images = np.random.default_rng(13).random((4, 1, 32, 32)).astype(np.float32)
+        gts = [[GroundTruth(0, 0.4, 0.4, 0.2, 0.2)] for _ in range(4)]
+        model = D.Detector(cfg, init_seed=5, dtype=np.float32)
+        logged = []
+        tc = D.TrainConfig(batch=2, epochs=2, warmup_epochs=1, seed=3)
+        recs = D.train_loop(model, images, gts, tc, log_fn=logged.append)
+        assert [r["step"] for r in recs] == [0, 1, 2, 3]
+        assert logged == recs
+
+    def test_float32_step_stays_float32(self):
+        cfg = micro_config()
+        images = np.random.default_rng(14).random((2, 1, 32, 32)).astype(np.float32)
+        gts = [[GroundTruth(0, 0.5, 0.5, 0.3, 0.3)] for _ in range(2)]
+        model = D.Detector(cfg, init_seed=8, dtype=np.float32)
+        heads = model(Tensor4(images), training=True, seed=1)
+        assert [h.dtype for h in heads] == [np.float32] * 3
+        D.train_step(model, D.AdamW(model.parameters()), images, gts, 0, 10, 1,
+                     D.TrainConfig(epochs=10), D.LossWeights())
+        grads = [p.value.grad for p in model.parameters()]
+        assert len(grads) == 175
+        assert all(g is not None and g.dtype == np.float32 for g in grads)
 
     def test_loss_decreases_on_tiny_problem(self):
         cfg = micro_config()

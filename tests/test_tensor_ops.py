@@ -128,6 +128,12 @@ class TestDepthwiseConv2d:
             T.depthwise_conv2d(T.Tensor4(np.zeros((1, 3, 4, 4))),
                                T.Tensor4(np.zeros((4, 1, 3, 3))), pad=1)
 
+    @pytest.mark.parametrize("groups", [4, 2], ids=["depthwise", "grouped"])
+    def test_output_dtype_promotes_like_grouped_conv(self, groups):
+        x = T.Tensor4(np.zeros((1, 4, 5, 5), dtype=np.float32))
+        w = T.Tensor4(np.zeros((4, 4 // groups, 3, 3)))
+        assert T.conv2d(x, w, pad=1, groups=groups).dtype == np.float64
+
 
 class TestBatchNorm:
     def test_training_normalizes_to_standard_moments(self):
@@ -151,9 +157,9 @@ class TestBatchNorm:
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(9)
         xd = rng.standard_normal((3, 2, 4, 4))
-        gamma, beta, eps = np.array([1.3, 0.7]), np.array([-0.2, 0.4]), 1e-5
+        gamma, beta, eps = np.array([1.3, 0.7]), np.array([-0.2, 0.4]), T.BN_EPS
         out = T.batch_norm(T.Tensor4(xd), T.Tensor4.vector(gamma), T.Tensor4.vector(beta),
-                           T.RunningStats.create(2), training=True, eps=eps)
+                           T.RunningStats.create(2), training=True)
         expected = np.empty_like(xd)
         for c in range(2):
             mu = xd[:, c].mean()
@@ -175,7 +181,7 @@ class TestBatchNorm:
                          T.RunningStats.create(3), training=True)
 
     def test_running_stats_momentum_update(self):
-        stats = T.RunningStats.create(1, momentum=0.1)
+        stats = T.RunningStats.create(1)
         x = T.Tensor4(np.arange(8.0).reshape(1, 1, 2, 4))
         T.batch_norm(x, T.Tensor4.vector([1.0]), T.Tensor4.vector([0.0]), stats, training=True)
         assert stats.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.5)
@@ -345,6 +351,12 @@ class TestDropout:
         a = T.dropout(T.Tensor4(xd), 0.3, training=True, seed=42)
         b = T.dropout(T.Tensor4(xd), 0.3, training=True, seed=42)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_keeps_float32(self):
+        x = T.Tensor4(np.ones((1, 2, 4, 4), dtype=np.float32), requires_grad=True)
+        out = T.dropout(x, 0.5, training=True, seed=3)
+        T.backward(T.sum_all(out))
+        assert out.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_invalid_probability(self):
         x = T.Tensor4(np.zeros((1, 1, 1, 2)))
