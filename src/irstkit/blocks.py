@@ -251,7 +251,6 @@ class CBAM(Module):
             raise ConfigError(f"{name}: channels {c} must be divisible by "
                               f"reduction {CBAM_REDUCTION}")
         hidden = c // CBAM_REDUCTION
-        self.c = c
         self.fc1 = self._child(Conv2dLayer(f"{name}.fc1", c, hidden, 1, bias=True,
                                            rng=rng, dtype=dtype))
         self.fc2 = self._child(Conv2dLayer(f"{name}.fc2", hidden, c, 1, bias=True,
@@ -432,7 +431,6 @@ class GSBottleneck(Module):
         super().__init__(name)
         if c % 2:
             raise ConfigError(f"{name}: width {c} must be even")
-        self.c = c
         self.gs1 = self._child(GSConvBlock(
             f"{name}.gs1", GSConvConfig(c, c // 2, stride=1), rng=rng, dtype=dtype))
         self.gs2 = self._child(GSConvBlock(

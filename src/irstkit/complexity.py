@@ -12,6 +12,7 @@ raises instead of under-counting.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,36 +63,36 @@ class CostReport:
         return "\n".join(lines) + "\n"
 
 
-_ACTIVE_TAPE: dict[str, list[int]] | None = None
+# context-local, so a tape collects only its own thread's or task's modules
+_ACTIVE_TAPE: ContextVar[dict[str, list[int]] | None] = ContextVar(
+    "irstkit_cost_tape", default=None)
 
 
 def tape_active() -> bool:
-    return _ACTIVE_TAPE is not None
+    return _ACTIVE_TAPE.get() is not None
 
 
 def record_cost(name: str, params: int, flops: int) -> None:
     """Add to the row of module ``name``: params are credited on its first
     call only, so a module called repeatedly (shared weights) does not
     double-count them; flops add on every call."""
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is None:
         return
     tape.setdefault(name, [params, 0])[1] += flops
 
 
 class tracking:
-    """Context manager collecting layer costs into a CostReport."""
+    """Context manager collecting the current thread's or task's layer costs
+    into a CostReport."""
 
     def __enter__(self) -> "tracking":
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
         self._tape: dict[str, list[int]] = {}
-        _ACTIVE_TAPE = self._tape
+        self._token = _ACTIVE_TAPE.set(self._tape)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def report(self) -> CostReport:

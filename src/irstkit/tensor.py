@@ -14,6 +14,7 @@ used more than once.
 from __future__ import annotations
 
 import struct
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -168,28 +169,27 @@ class ParamTensor:
 # Graph plumbing
 # ---------------------------------------------------------------------------
 
-_GRAD_ENABLED = True
+# context-local, so no_grad in one thread or task leaves the others recording
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("irstkit_grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager suppressing tape recording (pure inference)."""
+    """Context manager suppressing tape recording (pure inference) in the
+    current thread or task."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
 def _make(data: np.ndarray, op_kind: str, inputs: tuple[Tensor4, ...],
           backward_fn) -> Tensor4:
     out = Tensor4(data)
-    out.requires_grad = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    out.requires_grad = _GRAD_ENABLED.get() and any(t.requires_grad for t in inputs)
     if out.requires_grad:
         out.op = OpRecord(op_kind, inputs, backward_fn)
     return out
@@ -659,31 +659,92 @@ def log_softmax_channels(x: Tensor4) -> Tensor4:
 # ---------------------------------------------------------------------------
 
 
-def _patches(xp: np.ndarray, k: int, stride: int):
-    """Strided (n, c, k, k, ho, wo) view over a padded input."""
-    n, c, hp, wp = xp.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    sn, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False)
-    return view, ho, wo
+def _phase_regions(h: int, w: int, stride: int, pad: int, m: int, rows: int, ws: int):
+    """For each of the m x m phase planes of ``_tap_planes``: (a, b, plane
+    index, input index), where plane (a, b), viewed as (n, c, rows, ws),
+    holds input pixels, and which pixels they are."""
+    def span(size, phase, length):
+        # plane positions lo..hi-1 hold input positions first, first + stride, ...
+        lo = max(0, -((phase - pad) // stride))
+        hi = max(lo, min(length, (size - 1 + pad - phase) // stride + 1))
+        first = phase + stride * lo - pad
+        return slice(lo, hi), slice(first, first + stride * (hi - lo), stride)
+
+    for a in range(m):
+        pr, xr = span(h, a, rows)
+        for b in range(m):
+            pc, xc = span(w, b, ws)
+            yield a, b, (..., pr, pc), (..., xr, xc)
 
 
-def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _tap_planes(x: np.ndarray, k: int, stride: int, pad: int):
+    """The zero-padded input split into stride x stride phase planes.
+
+    Returns (planes, ho, wo, ws).  planes is (m, m, n, c, rows * ws) with
+    m = min(stride, k): plane (a, b) holds padded pixel (a + stride r,
+    b + stride q) at r * ws + q, with ws = ceil(padded width / stride), and
+    is zero past the input.  Kernel tap (i, j) is then the contiguous slice
+    of plane (i % stride, j % stride) of length ho * ws that starts at
+    (i // stride) * ws + j // stride: row y, column x of that slice is the
+    input under output (y, x) for x < wo, and columns x >= wo are discarded.
+    A trailing zero row keeps the last taps' slices inside the plane.  For
+    a 1 x 1 kernel at stride 1 without padding the plane is a view of x.
+    """
+    n, c, h, w = x.shape
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    if k == 1 and stride == 1 and pad == 0:
+        return x.reshape(1, 1, n, c, h * w), ho, wo, w
+    m = min(stride, k)
+    ws = -(-(w + 2 * pad) // stride)
+    reach = (k - 1) // stride
+    rows = ho + reach + (reach > 0)
+    planes = np.zeros((m, m, n, c, rows, ws), dtype=x.dtype)
+    for a, b, at_plane, at_x in _phase_regions(h, w, stride, pad, m, rows, ws):
+        planes[a, b][at_plane] = x[at_x]
+    return planes.reshape(m, m, n, c, rows * ws), ho, wo, ws
 
 
-def _col2im(grad_cols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int):
-    """Scatter (n, c, k, k, ho, wo) gradients back onto the padded input."""
-    gxp = np.zeros(xp_shape, dtype=grad_cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += grad_cols[:, :, i, j]
-    return gxp
+def _from_tap_planes(planes: np.ndarray, shape, k: int, stride: int, pad: int, ws: int):
+    """The input gradient from gradient planes laid out as ``_tap_planes``:
+    each input pixel's entry, read back out of its phase; padding dropped."""
+    n, c, h, w = shape
+    if k == 1 and stride == 1 and pad == 0:
+        return planes.reshape(shape)
+    m, rows = planes.shape[0], planes.shape[-1] // ws
+    grid = planes.reshape(m, m, n, c, rows, ws)
+    gx = np.zeros(shape, dtype=planes.dtype)  # pixels no tap reads get zero
+    for a, b, at_plane, at_x in _phase_regions(h, w, stride, pad, m, rows, ws):
+        gx[at_x] = grid[a, b][at_plane]
+    return gx
+
+
+# bytes of output per block when conv2d sums broadcast taps block by block:
+# the block, its product buffer and its input rows stay in a core's L2
+# cache across the taps, where whole-tensor passes would stream through L3
+_BROADCAST_BLOCK_BYTES = 1 << 19
+
+
+def _tap_blocks(groups: int, cog: int, cg: int, channel_bytes: int) -> list[tuple[slice, slice]]:
+    """(group, output channel within group) slices that split the output for
+    conv2d's tap sum: the whole output for matmul taps (cg > 1), blocks of
+    about ``_BROADCAST_BLOCK_BYTES`` for broadcast taps (cg == 1), where
+    each output channel is ``channel_bytes`` over the batch."""
+    per = max(1, _BROADCAST_BLOCK_BYTES // channel_bytes)
+    if cg > 1 or per >= groups * cog:
+        return [(slice(None), slice(None))]
+    if per >= cog:  # whole groups per block
+        return [(slice(g, g + per // cog), slice(None)) for g in range(0, groups, per // cog)]
+    return [(slice(g, g + 1), slice(o, o + per)) for g in range(groups) for o in range(0, cog, per)]
+
+
+def _tap_product(wm: np.ndarray, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per group, (m, q) tap weights times (q, L) slices: wm is (g, m, q),
+    xs is (n, g, q, L) and out (n, g, m, L).  With q == 1 (depthwise convs,
+    a one-channel input) a broadcast multiply, which beats a K=1 matmul."""
+    if wm.shape[2] == 1:
+        return np.multiply(xs, wm, out=out)
+    return np.matmul(wm, xs, out=out)
 
 
 def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
@@ -691,7 +752,15 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
     """2-D cross-correlation with zero padding.
 
     weight is (c_out, c_in/groups, k, k); output spatial dims follow
-    floor((h + 2 pad - k) / stride) + 1.
+    floor((h + 2 pad - k) / stride) + 1.  No patch matrix is built: the
+    padded input is laid out once as stride-phase planes (``_tap_planes``),
+    in which each kernel tap is a contiguous slice, and the output is the
+    sum over taps, in row-major order, of the tap's (c_out/g x c_in/g)
+    weight times its slice, on an (ho, ws) grid whose columns past wo are
+    then dropped.  The product is one matmul batched over images and
+    groups, or a broadcast multiply when c_in/g is 1, summed block by block
+    of output channels (``_tap_blocks``).  The backward pass reads the same
+    planes and accumulates the input gradient in planes of the same layout.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
@@ -707,75 +776,63 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
 
-    xp = _pad_input(x.data, pad)
-    inputs: tuple[Tensor4, ...] = (x, weight) if bias is None else (x, weight, bias)
+    planes, ho, wo, ws = _tap_planes(x.data, k, stride, pad)
+    cg, cog, span = c_in // groups, c_out // groups, ho * ws
+    taps = [(i, j) for i in range(k) for j in range(k)]
+    # (k*k, groups, c_out/g, c_in/g): each tap's weights contiguous for BLAS
+    wt = np.ascontiguousarray(
+        weight.data.reshape(groups, cog, cg, k * k).transpose(3, 0, 1, 2))
 
-    if groups == c_in and c_out == c_in and c_in_g == 1:
-        # depthwise path: nine shifted multiply-adds beat einsum here
-        ho = (xp.shape[2] - k) // stride + 1
-        wo = (xp.shape[3] - k) // stride + 1
-        wv = weight.data[:, 0]  # (c, k, k)
-        # promotes x and w as the grouped path's matmul does
-        out = np.zeros((n, c_in, ho, wo), dtype=np.result_type(xp, wv))
-        prod = np.empty_like(out)  # one buffer for all taps
-        for i in range(k):
-            for j in range(k):
-                seg = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                out += np.multiply(seg, wv[:, i, j][None, :, None, None], out=prod)
-        if bias is not None:
-            out += bias.data.reshape(1, c_out, 1, 1)
+    def tap_slice(arr, i, j):
+        off = (i // stride) * ws + j // stride
+        return arr[i % stride, j % stride, :, :, off:off + span].reshape(n, groups, -1, span)
 
-        need_x = x.requires_grad
-
-        def back_dw(g):
-            gw = np.empty_like(weight.data)
-            gxp = np.zeros(xp.shape, dtype=g.dtype) if need_x else None
-            for i in range(k):
-                for j in range(k):
-                    seg = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-                    gw[:, 0, i, j] = np.einsum("nchw,nchw->c", g, seg)
-                    if need_x:
-                        gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
-                            g * wv[:, i, j][None, :, None, None])
-            gx = None
-            if need_x:
-                gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
-            gb = g.sum(axis=(0, 2, 3)).reshape(bias.data.shape) if bias is not None else None
-            return (gx, gw, gb) if bias is not None else (gx, gw)
-
-        return _make(out, "conv2d", inputs, back_dw)
-
-    # one batched matmul over groups; groups == 1 is its one-group case
-    cg, cog = c_in // groups, c_out // groups
-    view, ho, wo = _patches(xp, k, stride)
-    cols = view.reshape(n, groups, cg * k * k, ho * wo)
-    wmat = weight.data.reshape(groups, cog, cg * k * k)
-    out = np.matmul(wmat, cols).reshape(n, c_out, ho, wo)
+    grid = np.empty((n, groups, cog, span), dtype=np.result_type(x.data, weight.data))
+    prod = None  # one product buffer for all taps and blocks
+    for gs, cs in _tap_blocks(groups, cog, cg, n * span * grid.itemsize):
+        block = grid[:, gs, cs]
+        if prod is None and k > 1:
+            prod = np.empty_like(block)
+        for t, (i, j) in enumerate(taps):
+            xs, wm = tap_slice(planes, i, j)[:, gs], wt[t][gs, cs]
+            if t == 0:
+                _tap_product(wm, xs, out=block)
+            else:
+                block += _tap_product(wm, xs, out=prod[:, :block.shape[1], :block.shape[2]])
+    out = grid.reshape(n, c_out, ho, ws)
+    if ws != wo:
+        out = np.ascontiguousarray(out[:, :, :, :wo])
     if bias is not None:
         out += bias.data.reshape(1, c_out, 1, 1)
 
+    inputs: tuple[Tensor4, ...] = (x, weight) if bias is None else (x, weight, bias)
     need_x = x.requires_grad
 
     def back(g):
-        go = g.reshape(n, groups, cog, ho * wo)
-        gw = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weight.data.shape)
-        gx = None
-        if need_x:
-            grad_cols = np.matmul(wmat.transpose(0, 2, 1), go).reshape(n, c_in, k, k, ho, wo)
-            gxp = _col2im(grad_cols, xp.shape, k, stride, ho, wo)
-            gx = gxp[:, :, pad:pad + h, pad:pad + w] if pad else gxp
+        gg = g
+        if ws != wo:
+            gg = np.zeros((n, c_out, ho, ws), dtype=g.dtype)
+            gg[:, :, :, :wo] = g
+        gg = gg.reshape(n, groups, cog, span)
+        gw = np.empty(wt.shape, dtype=np.result_type(g, planes))
+        gplanes = np.zeros(planes.shape, dtype=np.result_type(g, wt)) if need_x else None
+        buf = np.empty((n, groups, cg, span), dtype=gplanes.dtype) if need_x else None
+        for t, (i, j) in enumerate(taps):
+            gw[t] = np.matmul(gg, tap_slice(planes, i, j).swapaxes(2, 3)).sum(axis=0)
+            if need_x:
+                gslice = tap_slice(gplanes, i, j)
+                gslice += _tap_product(wt[t].swapaxes(1, 2), gg, out=buf)
+        gw = gw.transpose(1, 2, 3, 0).reshape(weight.data.shape)
+        gx = _from_tap_planes(gplanes, x.data.shape, k, stride, pad, ws) if need_x else None
         gb = g.sum(axis=(0, 2, 3)).reshape(bias.data.shape) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
-    return _make(out, "conv2d", inputs, back)
+    def back_dw(g):
+        # the same gradients under the name per-op timing keys depthwise convs on
+        return back(g)
 
-
-def depthwise_conv2d(x: Tensor4, weight: Tensor4, stride: int = 1, pad: int = 0) -> Tensor4:
-    """Per-channel convolution: weight (c, 1, k, k) applied channelwise."""
-    c = x.data.shape[1]
-    if weight.data.shape[0] != c or weight.data.shape[1] != 1:
-        raise ShapeError(f"depthwise weight {weight.data.shape} does not match {c} channels")
-    return conv2d(x, weight, bias=None, stride=stride, pad=pad, groups=c)
+    depthwise = groups == c_in and c_out == c_in and c_in_g == 1
+    return _make(out, "conv2d", inputs, back_dw if depthwise else back)
 
 
 # ---------------------------------------------------------------------------

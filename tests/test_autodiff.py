@@ -1,8 +1,11 @@
 """Reverse-mode gradients: exact cases and finite-difference checks."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from irstkit import blocks, complexity
 from irstkit import tensor as T
 from irstkit.errors import ContractError, DeterminismError
 
@@ -110,7 +113,24 @@ class TestPrimitiveGradients:
     def test_depthwise_conv2d(self):
         x = rand_tensor((1, 4, 6, 6))
         w = rand_tensor((4, 1, 3, 3))
-        fd_check(lambda xx, ww: projected(T.depthwise_conv2d(xx, ww, stride=1, pad=1)), [x, w])
+        fd_check(lambda xx, ww: projected(T.conv2d(xx, ww, stride=1, pad=1, groups=4)), [x, w])
+
+    # (x shape, weight shape, stride, pad, groups): each reads the stride-phase
+    # planes differently -- four phases, a depthwise broadcast at stride 2,
+    # taps reaching three rows into the padding, and one input channel
+    @pytest.mark.parametrize("xs, ws, stride, pad, groups", [
+        ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1, 1),
+        ((2, 4, 7, 6), (4, 1, 3, 3), 2, 1, 4),
+        ((1, 2, 5, 6), (3, 2, 7, 7), 1, 3, 1),
+        ((2, 1, 7, 5), (3, 1, 3, 3), 2, 1, 1),
+    ], ids=["dense_stride2", "depthwise_stride2", "7x7_pad3", "one_channel_in"])
+    def test_conv2d_tap_planes(self, xs, ws, stride, pad, groups):
+        rng = np.random.default_rng(12)
+        x, w, b = (T.Tensor4(rng.standard_normal(s), requires_grad=True)
+                   for s in (xs, ws, (1, ws[0], 1, 1)))
+        fd_check(lambda xx, ww, bb: projected(T.conv2d(xx, ww, bias=bb, stride=stride,
+                                                       pad=pad, groups=groups)),
+                 [x, w, b])
 
     def test_batch_norm_training(self):
         x = rand_tensor((2, 4, 6, 6))
@@ -267,3 +287,39 @@ class TestPrimitiveGradients:
             return T.sum_all(z)
 
         fd_check(run, [x, y], eps=eps)
+
+
+class TestContextLocalState:
+    def test_no_grad_and_cost_tape_stay_in_their_thread(self):
+        """Thread A holds no_grad() and tracking() open while thread B runs a
+        forward: B still records a tape, and B's module writes no cost row
+        into A's tape."""
+        x = T.Tensor4(np.ones((1, 2, 4, 4)))
+        layer_a = blocks.Conv2dLayer("a_conv", 2, 3, 3, pad=1)
+        layer_b = blocks.Conv2dLayer("b_conv", 2, 3, 3, pad=1)
+        a_inside, b_done = threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with T.no_grad(), complexity.tracking() as tape:
+                a_inside.set()
+                seen["b_finished"] = b_done.wait(timeout=30)
+                seen["a_requires_grad"] = layer_a(x).requires_grad
+            seen["a_rows"] = [row[0] for row in tape.report().rows]
+
+        def thread_b():
+            try:
+                seen["a_entered"] = a_inside.wait(timeout=30)
+                seen["b_requires_grad"] = layer_b(x).requires_grad
+            finally:
+                b_done.set()
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a_entered": True, "b_requires_grad": True, "b_finished": True,
+                        "a_requires_grad": False, "a_rows": ["a_conv"]}
+        assert layer_b(x).requires_grad and not complexity.tape_active()  # this thread too

@@ -1,7 +1,10 @@
-"""PGM image files and YOLO label text: round trip and malformed input."""
+"""PGM image files and YOLO label text: round trip and malformed input;
+splits and synthetic scenes: properties over seeds."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irstkit import data
 from irstkit.errors import ParseError
@@ -45,3 +48,26 @@ def test_yolo_negative_class_raises_parse_error():
 def test_yolo_zero_size_box_raises_parse_error(line):
     with pytest.raises(ParseError, match="line 1: zero-size box"):
         data.parse_yolo_labels(line)
+
+
+@given(st.integers(5, 200), st.integers(0, 2**32 - 1))
+def test_split_parts_are_disjoint_and_cover_every_id(n, seed):
+    ids = [f"img{i}" for i in range(n)]
+    train, val, test = data.split_dataset(ids, seed)
+    assert sorted(train + val + test) == sorted(ids)
+    assert len(val) == len(test) == n // 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_scene_is_deterministic_and_its_boxes_never_overlap(seed, max_targets):
+    def scene():
+        return data.generate_scene(data.SceneSpec(size=64, max_targets=max_targets, seed=seed))
+
+    image, labels = scene()
+    again, again_labels = scene()
+    assert image.tobytes() == again.tobytes() and labels == again_labels
+    boxes = [(g.cx - g.w / 2, g.cy - g.h / 2, g.cx + g.w / 2, g.cy + g.h / 2) for g in labels]
+    for i, a in enumerate(boxes):
+        for b in boxes[:i]:
+            assert min(a[2], b[2]) <= max(a[0], b[0]) or min(a[3], b[3]) <= max(a[1], b[1])

@@ -1,6 +1,8 @@
 """Evaluation metrics: contrast regions, IoU, matching and mNoCoAP against
 full-frame and all-pairs reference implementations, plus hand-worked cases."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -336,3 +338,34 @@ class TestMNoCoAP:
         gts = [GTBox(0, 0, Box(0, 0, 96, 96))]
         with pytest.raises(DataError, match="empty background annulus"):
             M.mnocoap([Detection(0, 0.9, Box(40, 40, 56, 56))], gts, {0: np.ones((96, 96))})
+
+
+# ---------------------------------------------------------------------------
+# Average precision
+# ---------------------------------------------------------------------------
+
+
+def ap_reference(scored, n_gt):
+    """Area under the precision envelope by brute force, in exact rationals:
+    rank by descending score (input order on ties), then give each recall
+    step the best precision reached at that recall or beyond."""
+    ranked = [hit for _, _, hit in sorted((-s, i, hit) for i, (s, hit) in enumerate(scored))]
+    points, tp = [], 0
+    for rank, hit in enumerate(ranked, start=1):
+        tp += hit
+        points.append((Fraction(tp, n_gt), Fraction(tp, rank)))
+    area, prev = Fraction(0), Fraction(0)
+    for recall in sorted({r for r, _ in points}):
+        area += (recall - prev) * max(p for r, p in points if r >= recall)
+        prev = recall
+    return area
+
+
+class TestAveragePrecision:
+    @given(st.lists(st.tuples(st.sampled_from([0.1, 0.3, 0.5, 0.9]), st.booleans()),
+                    max_size=30),
+           st.integers(0, 4))
+    def test_equals_brute_force_envelope_area(self, scored, missed):
+        n_gt = max(1, sum(hit for _, hit in scored) + missed)
+        assert M.average_precision(scored, n_gt) == pytest.approx(
+            float(ap_reference(scored, n_gt)), rel=1e-12, abs=1e-15)

@@ -4,33 +4,39 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irstkit import tensor as T
 from irstkit.errors import ConfigError, NumericError, ParseError, ShapeError
 
 
 def naive_conv2d(x, w, stride=1, pad=0, groups=1):
-    """Direct six-nested-loop cross-correlation, the independent oracle.
-    Output channel o reads the input channels of its group, o // (c_out / groups)."""
+    """Direct cross-correlation, the independent oracle: a loop over every
+    output pixel of every image and output channel, each the float64 sum of
+    its receptive field times the filter.  Output channel o reads the input
+    channels of its group, o // (c_out / groups)."""
     n, c_in, h, wd = x.shape
     c_out, c_in_g, k, _ = w.shape
     cog = c_out // groups
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wd + 2 * pad - k) // stride + 1
     out = np.zeros((n, c_out, ho, wo))
     for b in range(n):
         for o in range(c_out):
+            lo = (o // cog) * c_in_g
             for i in range(ho):
                 for j in range(wo):
-                    acc = 0.0
-                    for ci in range(c_in_g):
-                        cx = (o // cog) * c_in_g + ci
-                        for ki in range(k):
-                            for kj in range(k):
-                                acc += xp[b, cx, i * stride + ki, j * stride + kj] * w[o, ci, ki, kj]
-                    out[b, o, i, j] = acc
+                    field = xp[b, lo:lo + c_in_g, i * stride:i * stride + k,
+                               j * stride:j * stride + k]
+                    out[b, o, i, j] = (field * w[o]).sum()
     return out
+
+
+# (c_in, c_out, groups): dense, grouped, depthwise, one input channel
+CONV_CHANNELS = {"dense": (4, 6, 1), "grouped": (4, 6, 2), "depthwise": (4, 4, 4),
+                 "one_channel": (1, 3, 1)}
 
 
 class TestConv2d:
@@ -99,6 +105,64 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(x, w, pad=1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", list(CONV_CHANNELS))
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_every_layout_matches_oracle(self, k, stride, pad, channels, dtype, monkeypatch):
+        """Forward against the loop oracle, and the backward by the adjoint
+        identities <g, conv(dx, w)> = <gx, dx> and <g, conv(x, dw)> = <gw, dw>
+        with the oracle's conv, over kernel sizes, strides, paddings, group
+        layouts, batch sizes and odd or even h != w.  Reruns, and a rerun
+        summing broadcast taps one output channel at a time, are bit-identical."""
+        c_in, c_out, groups = CONV_CHANNELS[channels]
+        tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-12, atol=1e-11)
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        for n, h, w in ((1, 9, 7), (3, 8, 11)):
+            x, wt, g, dx, dw = (rng.standard_normal(s).astype(dtype) for s in (
+                (n, c_in, h, w), (c_out, c_in // groups, k, k),
+                (n, c_out, (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1),
+                (n, c_in, h, w), (c_out, c_in // groups, k, k)))
+            before = [x.copy(), wt.copy()]
+            xt, wtt = T.Tensor4(x, requires_grad=True), T.Tensor4(wt, requires_grad=True)
+            out = T.conv2d(xt, wtt, stride=stride, pad=pad, groups=groups)
+            again = T.conv2d(T.Tensor4(x), T.Tensor4(wt), stride=stride, pad=pad, groups=groups)
+            with monkeypatch.context() as m:
+                m.setattr(T, "_BROADCAST_BLOCK_BYTES", 1)
+                blocked = T.conv2d(T.Tensor4(x), T.Tensor4(wt), stride=stride, pad=pad,
+                                   groups=groups)
+            assert out.dtype == dtype and out.data.flags.c_contiguous
+            assert out.data.tobytes() == again.data.tobytes() == blocked.data.tobytes()
+            np.testing.assert_allclose(out.data, naive_conv2d(x, wt, stride, pad, groups), **tol)
+
+            T.backward(T.sum_all(T.mul(out, T.Tensor4.const(g))))
+            assert xt.grad.dtype == wtt.grad.dtype == dtype
+            g64 = g.astype(np.float64)
+            np.testing.assert_allclose(np.vdot(xt.grad, dx),
+                                       np.vdot(g64, naive_conv2d(dx, wt, stride, pad, groups)), **tol)
+            np.testing.assert_allclose(np.vdot(wtt.grad, dw),
+                                       np.vdot(g64, naive_conv2d(x, dw, stride, pad, groups)), **tol)
+            for a, b in zip((x, wt), before):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestTapBlocks:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40), st.integers(1, 40))
+    def test_blocks_cover_each_output_channel_once(self, groups, cog, channel_bytes, block):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(T, "_BROADCAST_BLOCK_BYTES", block)
+            blocks = T._tap_blocks(groups, cog, 1, channel_bytes)
+        hits = np.zeros((groups, cog), dtype=int)
+        for gs, cs in blocks:
+            hits[gs, cs] += 1
+        assert (hits == 1).all()
+        assert all(hits[gs, cs].size * channel_bytes <= max(block, channel_bytes)
+                   for gs, cs in blocks)
+
+    def test_matmul_taps_take_the_whole_output(self):
+        assert T._tap_blocks(4, 8, 2, 1 << 30) == [(slice(None), slice(None))]
+
 
 class TestDepthwiseConv2d:
     def test_delta_kernel_is_identity(self):
@@ -106,27 +170,20 @@ class TestDepthwiseConv2d:
         x = T.Tensor4(rng.standard_normal((1, 3, 5, 5)))
         w = np.zeros((3, 1, 3, 3))
         w[:, 0, 1, 1] = 1.0
-        out = T.depthwise_conv2d(x, T.Tensor4(w), pad=1)
+        out = T.conv2d(x, T.Tensor4(w), pad=1, groups=3)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_stride2_shape(self):
         x = T.Tensor4(np.zeros((1, 6, 8, 8)))
         w = T.Tensor4(np.zeros((6, 1, 3, 3)))
-        out = T.depthwise_conv2d(x, w, stride=2, pad=1)
+        out = T.conv2d(x, w, stride=2, pad=1, groups=6)
         assert out.shape == (1, 6, 4, 4)
 
-    def test_equals_grouped_conv_exactly(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 4, 6, 6))
-        w = rng.standard_normal((4, 1, 3, 3))
-        dw = T.depthwise_conv2d(T.Tensor4(x), T.Tensor4(w), pad=1)
-        gc = T.conv2d(T.Tensor4(x), T.Tensor4(w), pad=1, groups=4)
-        np.testing.assert_array_equal(dw.data, gc.data)
-
     def test_channel_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            T.depthwise_conv2d(T.Tensor4(np.zeros((1, 3, 4, 4))),
-                               T.Tensor4(np.zeros((4, 1, 3, 3))), pad=1)
+        # four one-channel filters over three channels: no grouping fits
+        with pytest.raises(ConfigError):
+            T.conv2d(T.Tensor4(np.zeros((1, 3, 4, 4))),
+                     T.Tensor4(np.zeros((4, 1, 3, 3))), pad=1, groups=3)
 
     @pytest.mark.parametrize("groups", [4, 2], ids=["depthwise", "grouped"])
     def test_output_dtype_promotes_like_grouped_conv(self, groups):
@@ -478,7 +535,7 @@ class TestBufferReuse:
     def test_depthwise_taps(self, dtype, stride):
         x, w = self.arrays(dtype, (2, 5, 8, 8), (5, 1, 3, 3))
         inputs = [x.copy(), w.copy()]
-        out = T.depthwise_conv2d(T.Tensor4(x), T.Tensor4(w), stride=stride, pad=1)
+        out = T.conv2d(T.Tensor4(x), T.Tensor4(w), stride=stride, pad=1, groups=5)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         ho = (xp.shape[2] - 3) // stride + 1
         want = np.zeros((2, 5, ho, ho), dtype=dtype)
