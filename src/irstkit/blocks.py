@@ -468,13 +468,17 @@ class VKConv(Module):
 
     An offset branch predicts 2K per-location displacements, scaled by a
     learnable factor and added to the zero-centered base pattern anchored
-    at each output location.  One ``bilinear_sample`` call gathers all K
-    points and combines them with K learned point weights; the result is
-    projected 1x1 with BN + SiLU.  Offset and coordinate channel layout is
-    (dy_0, dx_0, dy_1, dx_1, ...).
+    at each output location.  The input is projected 1x1 (no bias) to c_out
+    channels, then one ``bilinear_sample`` call gathers all K points of the
+    projection and combines them with K learned point weights; BN + SiLU
+    follow.  The point weights are scalars shared by all channels, so the
+    sample commutes with the per-pixel channel mix: this equals sampling
+    the c_in inputs and projecting after, up to rounding, at the border too
+    (an out-of-frame corner contributes zero either way).  The BN follows
+    the sample, so ``fold_bn`` leaves it: a bias folded into ``project``
+    would be zero-padded at the border.  Offset and coordinate channel
+    layout is (dy_0, dx_0, dy_1, dx_1, ...).
     """
-
-    bn_pairs = (("project", "bn"),)
 
     def __init__(self, name: str, c_in: int, c_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
@@ -500,11 +504,12 @@ class VKConv(Module):
         return T.add(off, Tensor4.const(base.reshape(1, -1, h, w)))
 
     def forward(self, x, training=False, seed=0):
-        acc = T.bilinear_sample(x, self.sample_coords(x), self.point_w.value)
-        return T.silu(self.bn(self.project(acc), training=training))
+        coords = self.sample_coords(x)  # offset row before the project row
+        acc = T.bilinear_sample(self.project(x), coords, self.point_w.value)
+        return T.silu(self.bn(acc, training=training))
 
     def cost(self, x, out):
-        _, c, h, w = x.shape
+        _, c, h, w = out.shape  # the c_out projected channels are the ones sampled
         return VK_POINTS + 1, (8 + 2) * VK_POINTS * c * h * w  # bilinear gather + contraction
 
 

@@ -188,9 +188,10 @@ class Detector(Module):
         return [self.heads[0](t3, **kw), self.heads[1](m4, **kw), self.heads[2](m5, **kw)]
 
     def fused(self) -> "Detector":
-        """Inference-only copy with each batch norm folded into the conv before
-        it (``blocks.fold_bn``): its heads equal this model's inference-mode
-        heads up to rounding, with 33 fewer batch-norm passes per forward.
+        """Inference-only copy with each batch norm that directly follows a
+        conv folded into it (``blocks.fold_bn``): its heads equal this model's
+        inference-mode heads up to rounding, with 29 fewer batch-norm passes
+        per forward (VKConv's four, which follow its sample, stay).
         ``self`` is unchanged and the copy shares its unfolded parameters;
         build a new copy after the weights change."""
         return fold_bn(self)

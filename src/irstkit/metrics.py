@@ -135,17 +135,17 @@ class PRCurve:
     points: list[tuple[float, float]] = field(default_factory=list)  # (recall, precision)
 
 
-def _sorted_labels(scored: list[tuple[float, bool]]) -> list[bool]:
+def _score_order(scores) -> list[int]:
     # stable sort by descending score keeps tie order deterministic
-    order = sorted(range(len(scored)), key=lambda i: -scored[i][0])
-    return [scored[i][1] for i in order]
+    return sorted(range(len(scores)), key=lambda i: -scores[i])
 
 
-def pr_curve(scored: list[tuple[float, bool]], n_gt: int) -> PRCurve:
-    labels = _sorted_labels(scored)
+def pr_curve(ranked: list[bool], n_gt: int) -> PRCurve:
+    """(recall, precision) after each of the true-positive flags ``ranked``,
+    which are in descending score order (stable for ties)."""
     tp = fp = 0
     pts = []
-    for is_tp in labels:
+    for is_tp in ranked:
         tp += int(is_tp)
         fp += int(not is_tp)
         pts.append((tp / n_gt, tp / (tp + fp)))
@@ -160,7 +160,7 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
     """
     if n_gt < 1:
         raise DataError("average precision undefined without ground truth")
-    return _ranked_ap(_sorted_labels(scored), n_gt)
+    return _ranked_ap([scored[i][1] for i in _score_order([s for s, _ in scored])], n_gt)
 
 
 def _ranked_ap(labels: list[bool], n_gt: int) -> float:
@@ -196,7 +196,7 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
     for j, gt in enumerate(gts):
         by_key.setdefault((gt.image_id, gt.class_id), []).append(j)
     matched: set[int] = set()
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    order = _score_order([d.score for d in dets])
     labels: list[tuple[float, bool]] = [None] * len(dets)  # type: ignore[list-item]
     n_matched = 0
     for i in order:
@@ -218,16 +218,20 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
 
 
 def _mean_class_ap(dets: list[Detection], labels: list[tuple[float, bool]],
-                   gts: list[GTBox]) -> float:
+                   gts: list[GTBox], order: list[int]) -> float:
     """Mean AP over the classes present in the ground truth, from the
-    ``match_detections`` labels of ``dets``; matching never crosses classes,
-    so one pass over all classes labels each class as a per-class pass would."""
+    ``match_detections`` labels of ``dets`` and their descending-score
+    ``order``; matching never crosses classes, so one pass over all classes
+    labels each class as a per-class pass would, and each class's flags in
+    ``order`` are in its own stable score order."""
     if not gts:
         raise DataError("mAP undefined: no ground truth at all")
     n_gt = Counter(g.class_id for g in gts)
-    aps = [average_precision([lab for d, lab in zip(dets, labels) if d.class_id == cls],
-                             n_gt[cls])
-           for cls in sorted(n_gt)]
+    ranked: dict[int, list[bool]] = {cls: [] for cls in n_gt}
+    for i in order:
+        if dets[i].class_id in ranked:
+            ranked[dets[i].class_id].append(labels[i][1])
+    aps = [_ranked_ap(ranked[cls], n_gt[cls]) for cls in sorted(n_gt)]
     orphan = sorted({d.class_id for d in dets}.difference(n_gt))
     if orphan:
         warnings.warn(f"classes {orphan} have detections but no ground truth; skipped")
@@ -237,7 +241,7 @@ def _mean_class_ap(dets: list[Detection], labels: list[tuple[float, bool]],
 def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> float:
     """Mean AP over the classes present in the ground truth (IoU > 0.5 match)."""
     labels, _ = match_detections(dets, gts, iou_thresh)
-    return _mean_class_ap(dets, labels, gts)
+    return _mean_class_ap(dets, labels, gts, _score_order([d.score for d in dets]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
         candidates.append(cands)
 
     # stable descending-score order, as average_precision would sort the hits
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    order = _score_order([d.score for d in dets])
     per_delta: dict[float, float] = {}
     for delta in deltas:
         matched: set[int] = set()
@@ -428,11 +432,12 @@ def evaluate_detections(dets: list[Detection], gts: list[GTBox],
                         iou_thresh: float = 0.5) -> MetricReport:
     """Full metric bundle at the detections' operating point."""
     labels, n_matched = match_detections(dets, gts, iou_thresh)
+    order = _score_order([d.score for d in dets])  # one order for every class's AP and the curve
     counts = ConfusionCounts(tp=n_matched, fp=len(dets) - n_matched,
                              fn=len(gts) - n_matched)
     p, r, f1 = prf1(counts)
-    m = _mean_class_ap(dets, labels, gts)
-    curve = pr_curve(labels, max(len(gts), 1))
+    m = _mean_class_ap(dets, labels, gts, order)
+    curve = pr_curve([labels[i][1] for i in order], max(len(gts), 1))
     if images is not None:
         value, per_delta = mnocoap(dets, gts, images)
     else:

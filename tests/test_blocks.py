@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irstkit import blocks as B
+from irstkit import detector as D
 from irstkit import tensor as T
 from irstkit.errors import ConfigError, ContractError, DataError, ParseError, ShapeError
 from irstkit.tensor import Tensor4
@@ -316,6 +319,45 @@ class TestVKConv:
             0, 0.3, vk.offset_conv.weight.value.data.shape)
         fd_block(vk, rand_input((1, 4, 6, 6), seed=29))
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_projecting_first_matches_sampling_the_inputs(self, training):
+        # the point weights are scalars shared by all channels, so the sample
+        # commutes with the bias-free 1x1 projection, also where corners leave
+        # the frame; offsets this large move about half the points out of it
+        vk = B.VKConv("vk", 6, 4, rng=np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        for p in vk.parameters():
+            p.value.data = rng.normal(0.0, 1.0, p.value.data.shape)
+        vk.offset_conv.weight.value.data *= 3.0
+        vk.alpha.value.data[:] = B.VK_OFFSET_SCALE
+        vk.bn.stats.mean = rng.normal(0.0, 1.0, 4)
+        vk.bn.stats.var = rng.uniform(0.2, 3.0, 4)
+        x = rand_input((2, 6, 7, 7), seed=52)
+        coords = vk.sample_coords(x)
+        yx = coords.data.reshape(2, B.VK_POINTS, 2, 7, 7)
+        outside = ((yx < 0) | (yx > 6)).any(axis=2).mean()
+        assert 0.4 < outside < 0.6
+        sampled = T.bilinear_sample(x, coords, vk.point_w.value)
+        want = T.silu(vk.bn(vk.project(sampled), training=training))
+        np.testing.assert_allclose(vk(x, training=training).data, want.data,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_model_samples_projected_channels(self, monkeypatch):
+        model = D.Detector(D.ModelConfig(), init_seed=3)
+        sampled = []
+        sample = T.bilinear_sample
+
+        def record(x, coords, point_w=None):
+            sampled.append(x.shape[1])
+            return sample(x, coords, point_w)
+
+        monkeypatch.setattr(T, "bilinear_sample", record)
+        with T.no_grad():
+            model(Tensor4(np.zeros((1, 1, 96, 96))))
+        vks = [m for m in model.sublayers() if isinstance(m, B.VKConv)]
+        assert len(vks) == 4
+        assert sampled == [vk.project.c_out for vk in vks] == [64, 32, 64, 64]
+
     def test_gradient_wrt_sampling_parameters(self):
         vk = B.VKConv("vk", 3, 2, rng=np.random.default_rng(36))
         rng = np.random.default_rng(37)
@@ -416,7 +458,9 @@ class TestFoldBn:
         want = block(x).data
         fused = B.fold_bn(block)
         np.testing.assert_allclose(fused(x).data, want, rtol=1e-12, atol=1e-12)
-        assert not any(isinstance(m, B.BatchNormLayer) for m in fused.sublayers())
+        # VKConv's norm follows its sample, not a conv, and is kept
+        kept = [m.name for m in fused.sublayers() if isinstance(m, B.BatchNormLayer)]
+        assert kept == (["v.bn"] if isinstance(block, B.VKConv) else [])
         assert type(fused) is type(block)
 
     def test_folded_model_is_inference_only(self):
@@ -495,6 +539,27 @@ class TestCheckpoint:
                                       if not ln.startswith("gs.cbs.bn.running_var ")) + "\n")
         with pytest.raises(DataError, match="gs.cbs.bn.running_var"):
             B.load_checkpoint(blk, tmp_path / "w")
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        """An AVCStem checkpoint's manifest text and record bytes."""
+        prefix = tmp_path_factory.mktemp("ckpt") / "w"
+        B.save_checkpoint(B.AVCStem("stem", 4, 6, rng=np.random.default_rng(36)), prefix)
+        return (prefix.with_suffix(".manifest").read_text(),
+                prefix.with_suffix(".bin").read_bytes(), prefix.parent)
+
+    @given(part=st.sampled_from(["manifest", "bin"]), data=st.data())
+    def test_any_cut_raises_parse_or_data_error(self, saved, part, data):
+        manifest, records = saved[0], saved[1]
+        # dropping only the manifest's final newline leaves a valid checkpoint
+        size = len(manifest) - 1 if part == "manifest" else len(records)
+        cut = data.draw(st.integers(0, size - 1))
+        prefix = saved[2] / "cut"
+        prefix.with_suffix(".manifest").write_text(manifest[:cut] if part == "manifest"
+                                                   else manifest)
+        prefix.with_suffix(".bin").write_bytes(records[:cut] if part == "bin" else records)
+        with pytest.raises((ParseError, DataError)):
+            B.load_checkpoint(B.AVCStem("stem", 4, 6), prefix)
 
     @pytest.mark.parametrize("line", ["gs.cbs.conv.weight", "gs.cbs.conv.weight 1 2 3 4 x"])
     def test_malformed_manifest_line_raises_parse_error(self, tmp_path, line):

@@ -33,7 +33,13 @@ class TestCountModel:
         report = C.count_model(D.ModelConfig())
         assert len(report.rows) == 113
         assert report.total_params == 1_327_912
-        assert report.total_flops == 123_318_543
+        # VKConv samples its c_out projected channels, not its c_in inputs;
+        # its sampling row is 10 * K = 50 flops per channel and pixel, so it
+        # drops by 50 * (c_in - c_out) * h * w per VKConv; at 96 px
+        # t4 50*(160-64)*36 + t3 50*(112-32)*144 + m4 50*(128-64)*36
+        # + m5 50*(160-64)*9 = 172_800 + 576_000 + 115_200 + 43_200 = 907_200
+        # below the 123_318_543 of sampling the inputs
+        assert report.total_flops == 123_318_543 - 907_200 == 122_411_343
 
     def test_stem_row_is_a_strided_3x3_conv(self):
         rows = {name: (p, f) for name, p, f in C.count_model(D.ModelConfig()).rows}
@@ -66,10 +72,11 @@ class TestCostRows:
         assert rows["model.a0.attn"] == (0, 4 * h * w * c)
 
     def test_vkconv_sampling_row(self, rows):
-        # fuse_t4: K = 5 points over 64 // 2 + 2 * 64 = 160 channels at the
+        # fuse_t4: K = 5 points over the c_out = 64 projected channels (its
+        # 64 // 2 + 2 * 64 = 160 inputs are projected before sampling) at the
         # stride-16 grid of 6 x 6; K point weights plus the offset scale
-        k, c_in, ho, wo = 5, 160, 6, 6
-        assert rows["model.fuse_t4.vk"] == (k + 1, 10 * k * c_in * ho * wo)
+        k, c_out, ho, wo = 5, 64, 6, 6
+        assert rows["model.fuse_t4.vk"] == (k + 1, 10 * k * c_out * ho * wo)
 
     def test_shared_call_credits_params_once(self, rows):
         # CBAM's fc1 (48 -> 12, 1x1, bias) runs on the avg and the max pool

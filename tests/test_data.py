@@ -50,6 +50,32 @@ def test_yolo_zero_size_box_raises_parse_error(line):
         data.parse_yolo_labels(line)
 
 
+def yolo_line(field: int, value: float) -> str:
+    vals = [0.5, 0.5, 0.1, 0.1]
+    vals[field] = value
+    return "0 " + " ".join(map(repr, vals))
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [-2 * data.CLAMP_TOL, 1.0 + 2 * data.CLAMP_TOL])
+def test_yolo_value_beyond_clamp_tolerance_raises_parse_error(field, value):
+    with pytest.raises(ParseError, match=r"line 1: value .* outside \[0, 1\]"):
+        data.parse_yolo_labels(yolo_line(field, value))
+
+
+# inside the tolerance, up to the bound itself (repr round-trips the float),
+# a value is clamped; a width or height clamped to 0 is a zero-size box
+@pytest.mark.parametrize("field, value, clamped", [
+    (0, -data.CLAMP_TOL, 0.0), (0, -data.CLAMP_TOL / 2, 0.0), (1, -data.CLAMP_TOL, 0.0),
+    (0, 1.0 + data.CLAMP_TOL, 1.0), (1, 1.0 + data.CLAMP_TOL / 2, 1.0),
+    (2, 1.0 + data.CLAMP_TOL, 1.0), (3, 1.0 + data.CLAMP_TOL, 1.0)])
+def test_yolo_value_within_clamp_tolerance_is_clamped(field, value, clamped):
+    (gt,) = data.parse_yolo_labels(yolo_line(field, value))
+    want = [0.5, 0.5, 0.1, 0.1]
+    want[field] = clamped
+    assert [gt.cx, gt.cy, gt.w, gt.h] == want
+
+
 @given(st.integers(5, 200), st.integers(0, 2**32 - 1))
 def test_split_parts_are_disjoint_and_cover_every_id(n, seed):
     ids = [f"img{i}" for i in range(n)]

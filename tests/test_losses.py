@@ -596,8 +596,10 @@ class TestFused:
         model = D.Detector(D.ModelConfig(), init_seed=4)
         fused = model.fused()
         assert sum(isinstance(m, B.BatchNormLayer) for m in model.sublayers()) == 33
-        assert not any(isinstance(m, B.BatchNormLayer) for m in fused.sublayers())
-        assert sum(isinstance(m, B.PassThrough) for m in fused.sublayers()) == 33
+        # 33 = 29 that follow a conv + the 4 VKConv norms that follow a sample
+        kept = [m.name for m in fused.sublayers() if isinstance(m, B.BatchNormLayer)]
+        assert kept == [f"model.{s}.vk.bn" for s in ("fuse_t4", "fuse_t3", "fuse_m4", "fuse_m5")]
+        assert sum(isinstance(m, B.PassThrough) for m in fused.sublayers()) == 29
         # unfolded parameters are shared, folded convs get new arrays
         assert fused.heads[0].out.weight.value.data is model.heads[0].out.weight.value.data
         assert fused.stem.conv.weight.value.data is not model.stem.conv.weight.value.data
@@ -638,8 +640,11 @@ class TestFused:
             with T.no_grad(), C.tracking() as tape:
                 m(x)
             totals.append(tape.report().total_params)
-        # each of the 33 folds trades a batch norm's 2c for a conv bias of c
-        assert totals == [model.num_scalars(), fused.num_scalars()] == [6_319_388, 6_315_388]
+        # each of the 29 folds trades a batch norm's 2c for a conv bias of c;
+        # folding all 33 gave 6_315_388, and the 4 unfolded VKConv norms keep
+        # c more each, their c_out: 144 + 64 + 144 + 144 = 496
+        assert totals == [model.num_scalars(), fused.num_scalars()]
+        assert totals == [6_319_388, 6_315_388 + 496] == [6_319_388, 6_315_884]
 
 
 class TestPipelineGradient:

@@ -593,6 +593,15 @@ class TestSnapshotFormat:
         with pytest.raises(ParseError):
             T.read_snapshot(io.BytesIO(b"XXXX" + b"\x00" * 64))
 
+    @given(st.data())
+    def test_any_cut_raises_parse_error(self, data):
+        buf = io.BytesIO()
+        T.write_snapshot(buf, np.ones((2, 1, 3, 2), dtype=np.float32))
+        raw = buf.getvalue()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ParseError):
+            T.read_snapshot(io.BytesIO(raw[:cut]))
+
     @pytest.mark.parametrize("cut", [6, 8, 20, 39, 40 + 24 * 4 - 1])
     def test_truncated_record_raises(self, cut):
         buf = io.BytesIO()
