@@ -2,9 +2,14 @@
 
 Every tensor is an (n, c, h, w) array of floats.  Per-channel vectors
 (biases, batch-norm scales) are stored as (1, c, 1, 1) tensors so that a
-single broadcasting rule covers all arithmetic.  Each operation records
-enough state on a tape node (:class:`OpRecord`) to push gradients back to
-its inputs; ``backward`` walks the resulting DAG from a scalar root.
+single broadcasting rule covers all arithmetic.  An operation whose
+inputs are recorded (grad mode on and an input requiring grad, see
+``_records``) puts a tape node (:class:`OpRecord`) on its output that can
+push gradients back to its inputs; ``backward`` walks the resulting DAG
+from a scalar root.  A forward op builds only what its output needs:
+state that only the backward reads is computed in the backward closure,
+and state the forward shares with it (a sigmoid, a normalised input) is
+kept in a buffer of its own only when the op is recorded.
 
 All forward primitives are deterministic: identical inputs and seeds give
 bit-identical outputs.  Gradients accumulate additively when a tensor is
@@ -13,6 +18,8 @@ used more than once.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -186,10 +193,15 @@ class no_grad:
         return False
 
 
+def _records(*inputs: Tensor4) -> bool:
+    """Whether an op on these inputs goes on the tape, so its backward can run."""
+    return _GRAD_ENABLED.get() and any(t.requires_grad for t in inputs)
+
+
 def _make(data: np.ndarray, op_kind: str, inputs: tuple[Tensor4, ...],
           backward_fn) -> Tensor4:
     out = Tensor4(data)
-    out.requires_grad = _GRAD_ENABLED.get() and any(t.requires_grad for t in inputs)
+    out.requires_grad = _records(*inputs)
     if out.requires_grad:
         out.op = OpRecord(op_kind, inputs, backward_fn)
     return out
@@ -343,9 +355,9 @@ def arctan2(y, x) -> Tensor4:
     x = _coerce(x, like=y)
     yd, xd = y.data, x.data
     out = np.arctan2(yd, xd)
-    denom = yd * yd + xd * xd
 
     def back(g):
+        denom = yd * yd + xd * xd
         safe = np.where(denom > 0, denom, 1.0)
         gy = np.where(denom > 0, g * xd / safe, 0.0)
         gx = np.where(denom > 0, -g * yd / safe, 0.0)
@@ -367,13 +379,13 @@ def power(x: Tensor4, exponent: float) -> Tensor4:
 def clamp(x: Tensor4, lo: float | None = None, hi: float | None = None) -> Tensor4:
     xd = x.data
     out = np.clip(xd, lo, hi)
-    inside = np.ones_like(xd, dtype=bool)
-    if lo is not None:
-        inside &= xd >= lo
-    if hi is not None:
-        inside &= xd <= hi
 
     def back(g):
+        inside = np.ones_like(xd, dtype=bool)
+        if lo is not None:
+            inside &= xd >= lo
+        if hi is not None:
+            inside &= xd <= hi
         return (g * inside,)
 
     return _make(out, "clamp", (x,), back)
@@ -421,13 +433,20 @@ def _logistic(xd: np.ndarray) -> np.ndarray:
 
 
 def activation(x: Tensor4, kind: str) -> Tensor4:
-    """Elementwise activation; kind is one of silu, sigmoid, relu."""
+    """Elementwise activation; kind is one of silu, sigmoid, relu.
+
+    SiLU's backward reads its sigmoid, so a recorded SiLU keeps that in a
+    buffer of its own; an unrecorded one multiplies it by x in place.
+    """
     xd = x.data
     if kind == "sigmoid":
         out = _logistic(xd)
         return _make(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
     if kind == "silu":
         sig = _logistic(xd)
+        if not _records(x):
+            sig *= xd
+            return _make(sig, "silu", (x,), None)
         out = xd * sig
 
         def back(g):
@@ -444,8 +463,7 @@ def softplus(x: Tensor4) -> Tensor4:
     """log(1 + exp(x)) computed without overflow; gradient is sigmoid(x)."""
     xd = x.data
     out = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0)
-    sig = _logistic(xd)
-    return _make(out, "softplus", (x,), lambda g: (g * sig,))
+    return _make(out, "softplus", (x,), lambda g: (g * _logistic(xd),))
 
 
 def sigmoid(x: Tensor4) -> Tensor4:
@@ -499,10 +517,10 @@ def channel_reduce(x: Tensor4, kind: str) -> Tensor4:
 
         return _make(out, "channel_mean", (x,), back)
     if kind == "max":
-        am = x.data.argmax(axis=1)  # (n, h, w), first max wins
-        out = np.take_along_axis(x.data, am[:, None], axis=1)
+        out = x.data.max(axis=1, keepdims=True)
 
         def back(g):
+            am = x.data.argmax(axis=1)  # (n, h, w), first max wins
             gx = np.zeros_like(x.data)
             np.put_along_axis(gx, am[:, None], g, axis=1)
             return (gx,)
@@ -522,11 +540,11 @@ def pool_global(x: Tensor4, kind: str) -> Tensor4:
 
         return _make(out, "pool_avg", (x,), back)
     if kind == "max":
-        flat = x.data.reshape(n, c, h * w)
-        am = flat.argmax(axis=2)  # first max wins
-        out = np.take_along_axis(flat, am[:, :, None], axis=2).reshape(n, c, 1, 1)
+        out = x.data.max(axis=(2, 3), keepdims=True)
 
         def back(g):
+            flat = x.data.reshape(n, c, h * w)
+            am = flat.argmax(axis=2)  # first max wins
             gx = np.zeros_like(flat)
             np.put_along_axis(gx, am[:, :, None], g.reshape(n, c, 1), axis=2)
             return (gx.reshape(x.data.shape),)
@@ -856,15 +874,25 @@ class RunningStats:
         return RunningStats(np.zeros(channels), np.ones(channels))
 
 
-def _normalize_affine(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
-                      gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(xhat, gamma * xhat + beta) with xhat = (x - mean) * inv_std, in two
-    fresh buffers; mean and inv_std are in x's dtype."""
+def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """xhat = (x - mean) * inv_std in one fresh buffer; mean and inv_std are
+    in x's dtype."""
     xhat = x - mean
     xhat *= inv_std
-    out = gamma * xhat
+    return xhat
+
+
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, keep_xhat: bool) -> np.ndarray:
+    """gamma * xhat + beta: in a fresh buffer when ``keep_xhat`` (a recorded
+    backward reads xhat) or when gamma or beta would promote xhat's dtype,
+    otherwise in xhat's own buffer."""
+    if keep_xhat or np.result_type(xhat, gamma, beta) != xhat.dtype:
+        out = gamma * xhat
+    else:
+        out = xhat
+        out *= gamma
     out += beta
-    return xhat, out
+    return out
 
 
 def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
@@ -873,7 +901,9 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
     Training mode normalises by batch statistics over (n, h, w) and updates
     the running stats in place with momentum ``BN_MOMENTUM``; inference
-    mode uses the running stats.
+    mode uses the running stats.  Training mode keeps the normalised input
+    for the backward only when the op is recorded; inference mode never
+    keeps it, and its backward recomputes it.
     """
     n, c, h, w = x.data.shape
     if gamma.data.shape != (1, c, 1, 1) or beta.data.shape != (1, c, 1, 1):
@@ -888,7 +918,8 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         running_stats.mean = decay * running_stats.mean + BN_MOMENTUM * mean.reshape(-1)
         running_stats.var = decay * running_stats.var + BN_MOMENTUM * var.reshape(-1)
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
+        xhat = _normalize(x.data, mean, inv_std)
+        out = _affine(xhat, gamma.data, beta.data, keep_xhat=_records(x, gamma, beta))
 
         def back(g):
             gg = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
@@ -900,9 +931,10 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
     inv_std = (1.0 / np.sqrt(running_stats.var.reshape(1, c, 1, 1) + BN_EPS)).astype(x.data.dtype)
     mean = running_stats.mean.reshape(1, c, 1, 1).astype(x.data.dtype)
-    xhat, out = _normalize_affine(x.data, mean, inv_std, gamma.data, beta.data)
+    out = _affine(_normalize(x.data, mean, inv_std), gamma.data, beta.data, keep_xhat=False)
 
     def back_eval(g):
+        xhat = _normalize(x.data, mean, inv_std)
         gg = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
         gb = g.sum(axis=(0, 2, 3), keepdims=True)
         return g * gamma.data * inv_std, gg, gb
@@ -1097,7 +1129,9 @@ def _read_exact(fh, size: int, part: str) -> bytes:
 
 
 def read_snapshot(fh) -> np.ndarray:
-    """Read one tensor record written by write_snapshot."""
+    """Read one tensor record written by write_snapshot from a seekable
+    binary file; a header that claims more payload than the file holds
+    raises ParseError before anything is read."""
     magic = fh.read(4)
     if magic != SNAPSHOT_MAGIC:
         raise ParseError(f"bad snapshot magic {magic!r}")
@@ -1105,9 +1139,17 @@ def read_snapshot(fh) -> np.ndarray:
     if version != SNAPSHOT_VERSION:
         raise ParseError(f"unsupported snapshot version {version}")
     dims = struct.unpack("<4Q", _read_exact(fh, 32, "header"))
-    count = int(np.prod(dims))
-    payload = _read_exact(fh, count * 4, "payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    size = 4 * math.prod(dims)  # Python ints, which do not overflow
+    pos = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - pos
+    fh.seek(pos)
+    if size > left:
+        raise ParseError(f"truncated snapshot payload: dims {dims} need {size} bytes, {left} left")
+    payload = _read_exact(fh, size, "payload")
+    try:
+        return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    except ValueError as exc:  # an empty payload with a dim past numpy's limit
+        raise ParseError(f"snapshot dims {dims}: {exc}") from exc
 
 
 def save_tensor(path, array: np.ndarray) -> None:

@@ -577,6 +577,25 @@ def rel_error(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+class TestNoGradEqualsRecording:
+    """Heads computed without a tape equal the recording path's bit for bit,
+    for the model and for its fused copy, as the benchmark's final check
+    asserts at paper scale."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_equal(self, dtype):
+        model = randomize_bn(D.Detector(D.ModelConfig(), init_seed=4, dtype=dtype), seed=5)
+        fused = model.fused()
+        x = Tensor4(np.random.default_rng(6).random((1, 1, 64, 64)).astype(dtype))
+        for run in (lambda: model.forward(x, training=False), lambda: fused(x)):
+            with T.no_grad():
+                fast = run()
+            taped = run()
+            assert all(h.op is None for h in fast) and all(h.op is not None for h in taped)
+            for a, b in zip(fast, taped):
+                np.testing.assert_array_equal(a.data, b.data)
+
+
 class TestFused:
     """``Detector.fused()``: each conv -> batch-norm pair becomes one conv
     with a bias, in a copy that leaves the original alone."""

@@ -1,6 +1,8 @@
 """Forward-path contracts of the tensor engine primitives."""
 
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,6 +572,49 @@ class TestBufferReuse:
         self.assert_same(x, before)
 
 
+class TestUnrecordedForward:
+    """An op that no tape records builds only its output: the output equals
+    the recorded op's, the input is left alone, and unrecorded SiLU writes
+    into a buffer of its own, not into its input."""
+
+    OPS = {
+        "silu": lambda x: T.activation(x, "silu"),
+        "channel_max": lambda x: T.channel_reduce(x, "max"),
+        "pool_max": lambda x: T.pool_global(x, "max"),
+        "batch_norm": lambda x: T.batch_norm(
+            x, T.Tensor4(np.linspace(0.5, 1.5, 4).reshape(1, 4, 1, 1).astype(x.dtype)),
+            T.Tensor4(np.linspace(-0.3, 0.3, 4).reshape(1, 4, 1, 1).astype(x.dtype)),
+            T.RunningStats(np.array([0.5, -1.0, 0.0, 2.0]), np.array([0.3, 1.0, 2.0, 0.7])),
+            training=False),
+    }
+
+    @staticmethod
+    def input(dtype):
+        rng = np.random.default_rng(31)
+        x = (rng.standard_normal((2, 4, 5, 5)) * 40.0).astype(dtype)
+        x[0, :, 0, 0] = (0.0, -0.0, -0.0, 0.0)  # a channel max over signed zeros
+        x[1, 2] = -np.abs(x[1, 2])
+        x[1, 2, 1, 1] = -0.0  # channel 2's pool max of image 1 is a signed zero
+        x[1, 2, 3, 3] = 0.0
+        x[0, 1, 2] = (-89.0, -100.0, -1000.0, 88.5, -0.0)  # float32 exp(-x) overflows below -88
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_matches_recorded(self, op, dtype):
+        xd = self.input(dtype)
+        before = xd.copy()
+        recorded = self.OPS[op](T.Tensor4(xd, requires_grad=True))
+        with T.no_grad():
+            unrecorded = self.OPS[op](T.Tensor4(xd))
+        assert recorded.op is not None and unrecorded.op is None
+        assert unrecorded.data.dtype == recorded.data.dtype == dtype
+        np.testing.assert_array_equal(unrecorded.data, recorded.data)
+        assert xd.tobytes() == before.tobytes()
+        if op == "silu":
+            assert not np.shares_memory(unrecorded.data, xd)
+
+
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -601,6 +646,24 @@ class TestSnapshotFormat:
         cut = data.draw(st.integers(0, len(raw) - 1))
         with pytest.raises(ParseError):
             T.read_snapshot(io.BytesIO(raw[:cut]))
+
+    @pytest.mark.parametrize("dims", [
+        (16384, 16384, 256, 1),  # 256 GiB of payload, which a read would try to allocate
+        (65536,) * 4,  # 2**66 bytes, past int64
+        (0, 2 ** 64 - 1, 1, 1),  # no payload, but a dim past numpy's limit
+    ])
+    def test_oversized_header_raises_without_allocating(self, tmp_path, dims):
+        path = tmp_path / "big.let4"
+        header = T.SNAPSHOT_MAGIC + struct.pack("<I", T.SNAPSHOT_VERSION) + struct.pack("<4Q", *dims)
+        path.write_bytes(header + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError):
+                T.load_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("cut", [6, 8, 20, 39, 40 + 24 * 4 - 1])
     def test_truncated_record_raises(self, cut):
