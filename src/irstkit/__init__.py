@@ -1,17 +1,13 @@
-"""Desk-scale differentiable toolkit for lightweight infrared small-target detection."""
+"""Desk-scale differentiable toolkit for lightweight infrared small-target detection.
 
-import os
-
-# single-threaded BLAS by default: the work units here are too small to
-# amortize thread sync, and one worker keeps reductions deterministic.
-# BLAS reads these variables once, when numpy is first imported, so the
-# default takes effect only if irstkit is imported before numpy.  Imported
-# after numpy, BLAS keeps its own thread count although the variables read
-# "1" (OpenBLAS on 2 cores: 2 threads, and a 10 x 2160 by 2160 x 6400
-# float32 matmul took 40 ms instead of 5.7 ms).  Override by exporting the
-# variables before starting Python.
-for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_v, "1")
+BLAS uses the process's cores by default: importing irstkit sets no thread
+variable.  Anyone running several irstkit processes side by side should
+export ``OPENBLAS_NUM_THREADS=1``, or each process's share of the cores, in
+each before it starts; two parallel trainings on two cores took 200 s with
+the default threads and 33 s with one thread each.  Reruns are byte-identical
+at any fixed thread count, and equal across thread counts on OpenBLAS, whose
+matmul splits output rows and columns over its threads, never a sum.
+"""
 
 from . import blocks, complexity, data, detector, metrics, tensor
 from .tensor import Tensor4, backward, grad_check

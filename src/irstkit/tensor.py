@@ -604,10 +604,11 @@ def channel_shuffle(x: Tensor4, groups: int) -> Tensor4:
     perm = np.arange(c).reshape(groups, c // groups).T.ravel()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(c)
-    out = x.data[:, perm].copy()
+    # np.take, not x[:, perm]: that is laid out channels-first for batch > 1
+    out = np.take(x.data, perm, axis=1)
 
     def back(g):
-        return (g[:, inv].copy(),)
+        return (np.take(g, inv, axis=1),)
 
     return _make(out, "channel_shuffle", (x,), back)
 
@@ -817,11 +818,12 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
                 _tap_product(wm, xs, out=block)
             else:
                 block += _tap_product(wm, xs, out=prod[:, :block.shape[1], :block.shape[2]])
-    out = grid.reshape(n, c_out, ho, ws)
-    if ws != wo:
-        out = np.ascontiguousarray(out[:, :, :, :wo])
-    if bias is not None:
-        out += bias.data.reshape(1, c_out, 1, 1)
+    out = grid.reshape(n, c_out, ho, ws)[:, :, :, :wo]
+    if bias is None:
+        out = np.ascontiguousarray(out)
+    else:  # the crop and the bias in one pass, in place when no column is dropped
+        out = np.add(out, bias.data.reshape(1, c_out, 1, 1),
+                     out=out if ws == wo else np.empty(out.shape, grid.dtype))
 
     inputs: tuple[Tensor4, ...] = (x, weight) if bias is None else (x, weight, bias)
     need_x = x.requires_grad

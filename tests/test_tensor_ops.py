@@ -117,15 +117,17 @@ class TestConv2d:
         identities <g, conv(dx, w)> = <gx, dx> and <g, conv(x, dw)> = <gw, dw>
         with the oracle's conv, over kernel sizes, strides, paddings, group
         layouts, batch sizes and odd or even h != w.  Reruns, and a rerun
-        summing broadcast taps one output channel at a time, are bit-identical."""
+        summing broadcast taps one output channel at a time, are bit-identical.
+        A biased forward, whose bias joins the crop of the output grid, has
+        the bytes of the unbiased output plus the bias."""
         c_in, c_out, groups = CONV_CHANNELS[channels]
         tol = dict(rtol=1e-5, atol=1e-4) if dtype == np.float32 else dict(rtol=1e-12, atol=1e-11)
         rng = np.random.default_rng(k * 100 + stride * 10 + pad)
         for n, h, w in ((1, 9, 7), (3, 8, 11)):
-            x, wt, g, dx, dw = (rng.standard_normal(s).astype(dtype) for s in (
+            x, wt, g, dx, dw, b = (rng.standard_normal(s).astype(dtype) for s in (
                 (n, c_in, h, w), (c_out, c_in // groups, k, k),
                 (n, c_out, (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1),
-                (n, c_in, h, w), (c_out, c_in // groups, k, k)))
+                (n, c_in, h, w), (c_out, c_in // groups, k, k), (c_out,)))
             before = [x.copy(), wt.copy()]
             xt, wtt = T.Tensor4(x, requires_grad=True), T.Tensor4(wt, requires_grad=True)
             out = T.conv2d(xt, wtt, stride=stride, pad=pad, groups=groups)
@@ -134,9 +136,15 @@ class TestConv2d:
                 m.setattr(T, "_BROADCAST_BLOCK_BYTES", 1)
                 blocked = T.conv2d(T.Tensor4(x), T.Tensor4(wt), stride=stride, pad=pad,
                                    groups=groups)
-            assert out.dtype == dtype and out.data.flags.c_contiguous
+            biased = T.conv2d(T.Tensor4(x), T.Tensor4(wt), bias=T.Tensor4.vector(b),
+                              stride=stride, pad=pad, groups=groups)
+            assert out.dtype == biased.dtype == dtype
+            assert out.data.flags.c_contiguous and biased.data.flags.c_contiguous
             assert out.data.tobytes() == again.data.tobytes() == blocked.data.tobytes()
-            np.testing.assert_allclose(out.data, naive_conv2d(x, wt, stride, pad, groups), **tol)
+            assert biased.data.tobytes() == (out.data + b.reshape(1, c_out, 1, 1)).tobytes()
+            ref = naive_conv2d(x, wt, stride, pad, groups)
+            np.testing.assert_allclose(out.data, ref, **tol)
+            np.testing.assert_allclose(biased.data, ref + b.reshape(1, c_out, 1, 1), **tol)
 
             T.backward(T.sum_all(T.mul(out, T.Tensor4.const(g))))
             assert xt.grad.dtype == wtt.grad.dtype == dtype
@@ -314,6 +322,17 @@ class TestChannelShuffle:
     def test_indivisible_raises(self):
         with pytest.raises(ConfigError):
             T.channel_shuffle(T.Tensor4(np.zeros((1, 5, 2, 2))), 2)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_output_and_gradient_are_fresh_and_c_contiguous(self, n):
+        x = T.Tensor4(np.random.default_rng(14).standard_normal((n, 6, 3, 4)),
+                      requires_grad=True)
+        out = T.channel_shuffle(x, 2)
+        assert out.data.flags.c_contiguous and not np.shares_memory(out.data, x.data)
+        g = np.random.default_rng(15).standard_normal(out.shape)
+        (gx,) = out.op.backward_fn(g)
+        assert gx.flags.c_contiguous and not np.shares_memory(gx, g)
+        np.testing.assert_array_equal(T.channel_shuffle(T.Tensor4(gx), 2).data, g)
 
 
 class TestBilinearSample:
