@@ -35,11 +35,12 @@ class GroundTruth:
     h: float
 
     def validate(self) -> None:
-        if self.w <= 0 or self.h <= 0:
+        # written as "not inside" so a NaN fails every check
+        if not (self.w > 0 and self.h > 0):
             raise DataError(f"non-positive box size {self.w}x{self.h}")
         for lo, hi in ((self.cx - self.w / 2, self.cx + self.w / 2),
                        (self.cy - self.h / 2, self.cy + self.h / 2)):
-            if lo < -1e-6 or hi > 1.0 + 1e-6:
+            if not (-CLAMP_TOL <= lo and hi <= 1.0 + CLAMP_TOL):
                 raise DataError(f"box extends outside the unit square: {self}")
 
 
@@ -68,7 +69,7 @@ def parse_yolo_labels(text: str) -> list[GroundTruth]:
         if class_id < 0:
             raise ParseError(f"line {lineno}: negative class id {class_id}")
         for v in vals:
-            if v < -CLAMP_TOL or v > 1.0 + CLAMP_TOL:
+            if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
                 raise ParseError(f"line {lineno}: value {v} outside [0, 1]")
         cx, cy, w, h = (min(max(v, 0.0), 1.0) for v in vals)
         if w == 0.0 or h == 0.0:

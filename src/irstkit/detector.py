@@ -224,12 +224,11 @@ def gt_to_box(gt, size: int) -> Box:
 
 
 def _pick_scale(extent: float, strides) -> int:
-    # first scale whose [2s, 8s) range holds the box extent; below-all maps
-    # to the finest scale, above-all to the coarsest
+    # first scale whose [2s, 8s) range holds the box extent, which is the
+    # first with extent < 8s: below-all maps to the finest scale, above-all
+    # to the coarsest
     for i, s in enumerate(strides):
-        if 2 * s <= extent < 8 * s:
-            return i
-        if extent < 2 * s:
+        if extent < 8 * s:
             return i
     return len(strides) - 1
 
@@ -264,14 +263,21 @@ def assign_targets(batch_gts, cfg: ModelConfig) -> Assignment:
 # ---------------------------------------------------------------------------
 
 
+def _bce_terms(logits: Tensor4, y: Tensor4) -> Tensor4:
+    """Per-element binary cross-entropy of logits against 0/1 targets in the
+    logit-stable softplus form, whose gradient (sigmoid(z) - y) stays alive
+    even where a cell saturates."""
+    return T.add(T.mul(y, T.softplus(T.mul(logits, -1.0))),
+                 T.mul(T.sub(1.0, y), T.softplus(logits)))
+
+
 def bce_loss(p, y) -> Tensor4:
     """Mean binary cross-entropy over all elements; probabilities are
-    clamped to [1e-7, 1 - 1e-7] before the logs."""
+    clamped to [1e-7, 1 - 1e-7] and scored as logits by ``_bce_terms``."""
     p = p if isinstance(p, Tensor4) else Tensor4.const(np.asarray(p, dtype=np.float64).reshape(1, 1, 1, -1))
     y = y if isinstance(y, Tensor4) else Tensor4.const(np.asarray(y, dtype=np.float64).reshape(1, 1, 1, -1))
     pc = T.clamp(p, LOG_EPS, 1.0 - LOG_EPS)
-    term = T.add(T.mul(y, T.log(pc)), T.mul(T.sub(1.0, y), T.log(T.sub(1.0, pc))))
-    return T.mul(T.mean_all(term), -1.0)
+    return T.mean_all(_bce_terms(T.sub(T.log(pc), T.log(T.sub(1.0, pc))), y))
 
 
 def _ciou_terms(px1, py1, px2, py2, gx1, gy1, gx2, gy2) -> Tensor4:
@@ -315,50 +321,46 @@ def ciou_loss(pred: Box, gt: Box) -> float:
     return out.item()
 
 
-def dfl_loss(bin_probs: np.ndarray, target, alpha_f: float = 0.25,
-             gamma: float = 2.0) -> float:
-    """Focal-form penalty on the discretized box-side distribution.
+DFL_ALPHA = 0.25
+DFL_GAMMA = 2.0
 
-    The floor and ceil bins of each continuous target coordinate receive
-    -alpha * (1 - p)^gamma * log(p), linearly weighted by the fractional
-    position; the result is averaged over all leading dimensions.  Targets
-    outside [0, bins - 1] are clamped (with a warning).  Each gathered p is
-    clamped at LOG_EPS before the log, so this matches the DFL term of
-    ``total_loss`` (which uses the unclamped log-softmax) only where every
-    gathered p >= LOG_EPS.
-    """
+
+def _dfl_terms(probs: Tensor4, log_probs: Tensor4, targets: np.ndarray) -> Tensor4:
+    """Per-row focal penalty on the (p, bins, 1, 1) box-side distribution:
+    each target in [0, bins - 1] puts -alpha * (1 - p)^gamma * log(p) on its
+    floor and ceil bins, weighted linearly by the fractional position.  In
+    the graph, log p comes from a stable log-softmax, so the penalty keeps
+    its gradient even when p underflows."""
+    p, bins = probs.shape[:2]
+    lo = np.floor(targets).astype(int)
+    frac = targets - lo
+
+    def focal(idx, w):
+        pk, log_pk = T.gather_channel(probs, idx), T.gather_channel(log_probs, idx)
+        term = T.mul(T.mul(T.power(T.sub(1.0, pk), DFL_GAMMA), log_pk), -DFL_ALPHA)
+        return T.mul(term, Tensor4.const(w.reshape(p, 1, 1, 1).astype(probs.dtype)))
+
+    term = focal(lo, 1.0 - frac)
+    if np.any(frac > 0):
+        term = T.add(term, focal(np.minimum(lo + 1, bins - 1), frac))
+    return term
+
+
+def dfl_loss(bin_probs: np.ndarray, target) -> float:
+    """Mean ``_dfl_terms`` penalty over all leading dimensions of the bin
+    probabilities.  Targets outside [0, bins - 1] are clamped (with a
+    warning).  Each p is clamped at LOG_EPS before the log, so this matches
+    the DFL term of ``total_loss`` (which uses the unclamped log-softmax)
+    only where every gathered p >= LOG_EPS."""
     probs = np.asarray(bin_probs, dtype=np.float64)
-    if probs.ndim == 1:
-        probs = probs[None, :]
     bins = probs.shape[-1]
-    flat = probs.reshape(-1, bins)
-    t = np.asarray(target, dtype=np.float64).reshape(-1)
-    if t.size == 1 and flat.shape[0] > 1:
-        t = np.full(flat.shape[0], t[0])
+    flat = np.clip(probs.reshape(-1, bins), LOG_EPS, 1.0)
+    t = np.broadcast_to(np.asarray(target, dtype=np.float64).reshape(-1), flat.shape[:1])
     n_clamped = int(np.count_nonzero((t < 0) | (t > bins - 1)))
     if n_clamped:
         warnings.warn(f"{n_clamped} regression targets clamped into [0, {bins - 1}]")
-    t = np.clip(t, 0.0, bins - 1.0)
-    lo = np.floor(t).astype(int)
-    frac = t - lo
-    total = 0.0
-    for i in range(flat.shape[0]):
-        p_lo = np.clip(flat[i, lo[i]], LOG_EPS, 1.0)
-        total += (1.0 - frac[i]) * (-alpha_f * (1.0 - p_lo) ** gamma * np.log(p_lo))
-        if frac[i] > 0.0:
-            p_hi = np.clip(flat[i, lo[i] + 1], LOG_EPS, 1.0)
-            total += frac[i] * (-alpha_f * (1.0 - p_hi) ** gamma * np.log(p_hi))
-    return total / flat.shape[0]
-
-
-def _focal_term(p: Tensor4, log_p: Tensor4, alpha_f: float, gamma: float) -> Tensor4:
-    # log-probabilities come from a stable log-softmax so the penalty keeps
-    # its gradient even when p underflows
-    return T.mul(T.mul(T.power(T.sub(1.0, p), gamma), log_p), -alpha_f)
-
-
-DFL_ALPHA = 0.25
-DFL_GAMMA = 2.0
+    pc = Tensor4.const(flat.reshape(-1, bins, 1, 1))
+    return T.mean_all(_dfl_terms(pc, T.log(pc), np.clip(t, 0.0, bins - 1.0))).item()
 
 
 def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
@@ -374,9 +376,7 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
                 raise DataError(f"image {b}: class id {g.class_id} outside the model's "
                                 f"{ncls} classes")
 
-    # classification over every cell of every scale; the logit-stable
-    # softplus form keeps the gradient (sigmoid(z) - y) alive even when a
-    # cell saturates past the probability clamp
+    # classification over every cell of every scale
     bce_sum = None
     n_elems = 0
     for scale, out in enumerate(head_outs):
@@ -385,10 +385,7 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
         y = np.zeros((n, ncls, gh, gw), dtype=dtype)
         for (b, gy, gx), gi in assignment.per_scale[scale].items():
             y[b, batch_gts[b][gi].class_id, gy, gx] = 1.0
-        yc = Tensor4.const(y)
-        term = T.add(T.mul(yc, T.softplus(T.mul(logits, -1.0))),
-                     T.mul(T.sub(1.0, yc), T.softplus(logits)))
-        s = T.sum_all(term)
+        s = T.sum_all(_bce_terms(logits, Tensor4.const(y)))
         bce_sum = s if bce_sum is None else T.add(bce_sum, s)
         n_elems += y.size
     bce = T.mul(bce_sum, 1.0 / n_elems)
@@ -405,18 +402,20 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
             continue
         stride = cfg.strides[scale]
         keys = sorted(cells.keys())
-        gt_boxes = [gt_to_box(batch_gts[b][cells[(b, gy, gx)]], cfg.input_size)
-                    for (b, gy, gx) in keys]
         p = len(keys)
         n_pos += p
+        boxes = (gt_to_box(batch_gts[b][cells[(b, gy, gx)]], cfg.input_size)
+                 for (b, gy, gx) in keys)
+        corners = np.array([(g.x1, g.y1, g.x2, g.y2) for g in boxes]).T  # (4, p)
+        idx = np.array(keys)
+        centers = (idx[:, [2, 1]].T + 0.5) * stride  # (2, p): x, y
+
+        def const(v):
+            return Tensor4.const(v.reshape(p, 1, 1, 1).astype(dtype))
 
         reg = T.slice_channels(out, ncls, ncls + 4 * bins)
-        cols = T.gather_cells(reg, np.array(keys))  # (p, 4*bins, 1, 1)
-
-        centers_x = np.array([(gx + 0.5) * stride for (_, _, gx) in keys])
-        centers_y = np.array([(gy + 0.5) * stride for (_, gy, _) in keys])
-        cx = Tensor4.const((centers_x.reshape(p, 1, 1, 1)).astype(dtype))
-        cy = Tensor4.const((centers_y.reshape(p, 1, 1, 1)).astype(dtype))
+        cols = T.gather_cells(reg, idx)  # (p, 4*bins, 1, 1)
+        cx, cy = const(centers[0]), const(centers[1])
 
         dists = []
         side_probs = []
@@ -430,42 +429,18 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
             dists.append(T.mul(expect, float(stride)))
         left, top, right, bottom = dists
 
-        gx1 = Tensor4.const((np.array([g.x1 for g in gt_boxes]).reshape(p, 1, 1, 1)).astype(dtype))
-        gy1 = Tensor4.const((np.array([g.y1 for g in gt_boxes]).reshape(p, 1, 1, 1)).astype(dtype))
-        gx2 = Tensor4.const((np.array([g.x2 for g in gt_boxes]).reshape(p, 1, 1, 1)).astype(dtype))
-        gy2 = Tensor4.const((np.array([g.y2 for g in gt_boxes]).reshape(p, 1, 1, 1)).astype(dtype))
         losses = _ciou_terms(T.sub(cx, left), T.sub(cy, top),
                              T.add(cx, right), T.add(cy, bottom),
-                             gx1, gy1, gx2, gy2)
+                             *(const(c) for c in corners))
         s = T.sum_all(losses)
         ciou_sum = s if ciou_sum is None else T.add(ciou_sum, s)
 
-        # focal penalty on the floor/ceil bins of each side's target
-        raw_targets = np.stack([
-            (centers_x - np.array([g.x1 for g in gt_boxes])) / stride,
-            (centers_y - np.array([g.y1 for g in gt_boxes])) / stride,
-            (np.array([g.x2 for g in gt_boxes]) - centers_x) / stride,
-            (np.array([g.y2 for g in gt_boxes]) - centers_y) / stride,
-        ])  # (4, p)
+        # focal penalty on the floor/ceil bins of each side's ltrb/stride target
+        raw_targets = np.concatenate([centers - corners[:2], corners[2:] - centers]) / stride
         n_clamped += int(np.count_nonzero((raw_targets < 0) | (raw_targets > bins - 1)))
         targets = np.clip(raw_targets, 0.0, bins - 1.0)
         for side in range(4):
-            t = targets[side]
-            lo = np.floor(t).astype(int)
-            frac = t - lo
-            w_lo = Tensor4.const(((1.0 - frac).reshape(p, 1, 1, 1)).astype(dtype))
-            focal_lo = _focal_term(T.gather_channel(side_probs[side], lo),
-                                   T.gather_channel(side_log_probs[side], lo),
-                                   DFL_ALPHA, DFL_GAMMA)
-            term = T.mul(focal_lo, w_lo)
-            if np.any(frac > 0):
-                hi = np.minimum(lo + 1, bins - 1)
-                w_hi = Tensor4.const((frac.reshape(p, 1, 1, 1)).astype(dtype))
-                focal_hi = _focal_term(T.gather_channel(side_probs[side], hi),
-                                       T.gather_channel(side_log_probs[side], hi),
-                                       DFL_ALPHA, DFL_GAMMA)
-                term = T.add(term, T.mul(focal_hi, w_hi))
-            s = T.sum_all(term)
+            s = T.sum_all(_dfl_terms(side_probs[side], side_log_probs[side], targets[side]))
             dfl_sum = s if dfl_sum is None else T.add(dfl_sum, s)
 
     zero = Tensor4.const(np.zeros((1, 1, 1, 1), dtype=dtype))

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the toolkit.
 
-The CLI maps these onto distinct exit codes, so new failure modes should
-subclass one of the three broad families (config, data, numeric) rather
-than raising bare ValueError.
+The three broad families (config, data, numeric) are meant to map onto
+distinct exit codes of a command-line front end, so new failure modes
+should subclass one of them rather than raising bare ValueError.
 """
 
 
@@ -35,7 +35,7 @@ class DataError(ToolkitError):
 
 
 class ParseError(DataError):
-    """A label or manifest line could not be parsed."""
+    """A label or manifest line, PGM image, snapshot or checkpoint could not be parsed."""
 
 
 class AccountingError(ToolkitError):

@@ -140,16 +140,18 @@ def _score_order(scores) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: -scores[i])
 
 
+def _pr_points(ranked: list[bool], n_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """(recalls, precisions) after each of the true-positive flags
+    ``ranked``, from their cumulative true-positive count."""
+    tps = np.cumsum(np.asarray(ranked, dtype=bool))
+    return tps / n_gt, tps / np.arange(1, tps.size + 1)
+
+
 def pr_curve(ranked: list[bool], n_gt: int) -> PRCurve:
     """(recall, precision) after each of the true-positive flags ``ranked``,
     which are in descending score order (stable for ties)."""
-    tp = fp = 0
-    pts = []
-    for is_tp in ranked:
-        tp += int(is_tp)
-        fp += int(not is_tp)
-        pts.append((tp / n_gt, tp / (tp + fp)))
-    return PRCurve(points=pts)
+    recalls, precisions = _pr_points(ranked, n_gt)
+    return PRCurve(points=list(zip(recalls.tolist(), precisions.tolist())))
 
 
 def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
@@ -165,13 +167,8 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
 
 def _ranked_ap(labels: list[bool], n_gt: int) -> float:
     """``average_precision`` of true-positive flags already in descending
-    score order (stable for ties); n_gt >= 1."""
-    if not labels:
-        return 0.0
-    tps = np.cumsum([1 if t else 0 for t in labels])
-    fps = np.cumsum([0 if t else 1 for t in labels])
-    recalls = tps / n_gt
-    precisions = tps / (tps + fps)
+    score order (stable for ties); n_gt >= 1, and 0 without any flag."""
+    recalls, precisions = _pr_points(labels, n_gt)
     # envelope: non-increasing from the right
     env = np.maximum.accumulate(precisions[::-1])[::-1]
     ap = 0.0
@@ -251,12 +248,8 @@ def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> f
 
 @dataclass
 class ContrastRegion:
-    """Target pixel set and surrounding background annulus with gray stats."""
+    """Gray stats of a target and of its surrounding background annulus."""
 
-    target_rows: np.ndarray
-    target_cols: np.ndarray
-    background_rows: np.ndarray
-    background_cols: np.ndarray
     mu_t: float
     mu_b: float
     sigma_b: float
@@ -284,26 +277,19 @@ class _EmptyAnnulus(DataError):
 
 def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
     """Discretize a box onto the pixel grid; the background annulus is the
-    box dilated by its own larger dimension on each side, minus the target.
-    Pixel indices come in row-major order."""
+    box dilated by its own larger dimension on each side, minus the target."""
     (ix1, iy1, ix2, iy2), window = _region_bounds(image.shape, box)
     if window == (ix1, iy1, ix2, iy2):
         raise _EmptyAnnulus(f"empty background annulus for box {box}")
     ox1, oy1, ox2, oy2 = window
 
-    # masks over the window only: the annulus never leaves it
-    tmask = np.zeros((oy2 - oy1, ox2 - ox1), dtype=bool)
+    # the annulus never leaves the window; boolean picks come in row-major order
+    crop = image[oy1:oy2, ox1:ox2]
+    tmask = np.zeros(crop.shape, dtype=bool)
     tmask[iy1 - oy1:iy2 - oy1, ix1 - ox1:ix2 - ox1] = True
-    trows, tcols = np.nonzero(tmask)
-    brows, bcols = np.nonzero(~tmask)
-    trows += oy1
-    tcols += ox1
-    brows += oy1
-    bcols += ox1
-    tvals = image[trows, tcols]
-    bvals = image[brows, bcols]
-    return ContrastRegion(trows, tcols, brows, bcols,
-                          float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
+    tvals = crop[tmask]
+    bvals = crop[~tmask]
+    return ContrastRegion(float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
 
 
 def noco(region: ContrastRegion) -> float:

@@ -1,13 +1,15 @@
 """PGM image files and YOLO label text: round trip and malformed input;
 splits and synthetic scenes: properties over seeds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irstkit import data
-from irstkit.errors import ParseError
+from irstkit.errors import DataError, ParseError
 
 
 def test_pgm_round_trip(tmp_path):
@@ -61,6 +63,22 @@ def yolo_line(field: int, value: float) -> str:
 def test_yolo_value_beyond_clamp_tolerance_raises_parse_error(field, value):
     with pytest.raises(ParseError, match=r"line 1: value .* outside \[0, 1\]"):
         data.parse_yolo_labels(yolo_line(field, value))
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_yolo_nan_value_raises_parse_error(field):
+    # every comparison with NaN is false, so only an "is it inside" test catches it
+    with pytest.raises(ParseError, match=r"line 1: value nan outside \[0, 1\]"):
+        data.parse_yolo_labels(yolo_line(field, math.nan))
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_ground_truth_with_nan_fails_validation(field):
+    vals = [0.5, 0.5, 0.1, 0.1]
+    data.GroundTruth(0, *vals).validate()
+    vals[field] = math.nan
+    with pytest.raises(DataError):
+        data.GroundTruth(0, *vals).validate()
 
 
 # inside the tolerance, up to the bound itself (repr round-trips the float),

@@ -106,15 +106,16 @@ class TestDFL:
         probs = np.array([0.0, 1.0, 0.0, 0.0])
         assert D.dfl_loss(probs, 1.0) == pytest.approx(0.0, abs=1e-9)
 
-    def test_gamma_zero_reduces_to_cross_entropy(self):
+    def test_confident_bin_focal_value(self):
+        # -alpha (1 - p)^gamma log p at alpha 0.25, gamma 2
         probs = np.array([0.2, 0.8])
-        v = D.dfl_loss(probs, 1.0, alpha_f=1.0, gamma=0.0)
-        assert v == pytest.approx(-math.log(0.8), abs=1e-12)
+        v = D.dfl_loss(probs, 1.0)
+        assert v == pytest.approx(-0.25 * 0.2 ** 2 * math.log(0.8), abs=1e-12)
 
     def test_half_probability_focal_value(self):
         probs = np.array([0.5, 0.5])
-        v = D.dfl_loss(probs, 0.0, alpha_f=1.0, gamma=2.0)
-        assert v == pytest.approx(0.25 * math.log(2.0), abs=1e-9)
+        v = D.dfl_loss(probs, 0.0)
+        assert v == pytest.approx(0.0625 * math.log(2.0), abs=1e-12)
 
     def test_fractional_target_interpolates(self):
         probs = np.array([0.5, 0.5, 0.0])
@@ -263,6 +264,26 @@ class TestDFLParity:
         assert grad[b, ch + lo, gy, gx] == pytest.approx(expected, rel=1e-5)
 
 
+class TestBCEParity:
+    def test_in_graph_bce_matches_scalar_helper(self):
+        cfg = D.ModelConfig()
+        outs, asg, gts = _toy_batch(cfg)
+        _, bd = D.total_loss(outs, asg, gts, cfg, D.LossWeights(1.0, 0.0, 0.0))
+
+        z, y = [], []
+        for scale, out in enumerate(outs):
+            labels = np.zeros_like(out.data[:, :cfg.num_classes])
+            for (b, gy, gx), gi in asg.per_scale[scale].items():
+                labels[b, gts[b][gi].class_id, gy, gx] = 1.0
+            z.append(out.data[:, :cfg.num_classes].ravel())
+            y.append(labels.ravel())
+        p = 1.0 / (1.0 + np.exp(-np.concatenate(z)))
+        # inside the helper's probability clamp, so both see the same logits
+        assert D.LOG_EPS < p.min() and p.max() < 1.0 - D.LOG_EPS
+        assert np.concatenate(y).sum() == bd["n_pos"] > 0
+        assert bd["bce"] == pytest.approx(D.bce_loss(p, np.concatenate(y)).item(), rel=1e-12)
+
+
 class TestAssignment:
     def test_small_box_lands_on_finest_scale(self):
         cfg = D.ModelConfig()
@@ -280,6 +301,14 @@ class TestAssignment:
         gts = [[GroundTruth(0, 0.5, 0.5, 70 / 96, 70 / 96)]]
         asg = D.assign_targets(gts, cfg)
         assert len(asg.per_scale[1]) == 1  # 70 in [32, 128) only
+
+    @pytest.mark.parametrize("extent, scale", [
+        (math.nextafter(16.0, 0.0), 0), (16.0, 0), (math.nextafter(64.0, 0.0), 0), (64.0, 1),
+        (math.nextafter(32.0, 0.0), 0), (32.0, 0), (math.nextafter(128.0, 0.0), 1), (128.0, 2),
+        (math.nextafter(256.0, 0.0), 2), (256.0, 2), (1000.0, 2)])
+    def test_scale_boundaries(self, extent, scale):
+        # each stride s takes extents in [2s, 8s); below 16 the finest, from 256 the coarsest
+        assert D._pick_scale(extent, D.HEAD_STRIDES) == scale
 
     def test_two_distinct_cells_two_positives(self):
         cfg = D.ModelConfig()
