@@ -226,7 +226,7 @@ class ConvBnSilu(Module):
         self.bn = self._child(BatchNormLayer(f"{name}.bn", c_out, dtype=dtype))
 
     def forward(self, x, training=False, seed=0):
-        return T.silu(self.bn(self.conv(x), training=training))
+        return T.silu_(self.bn(self.conv(x), training=training))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ class MBConvBlock(Module):
 
     def forward(self, x, training=False, seed=0):
         out = self.expand(x, training=training)
-        out = T.silu(self.dw_bn(self.dw(out), training=training))
+        out = T.silu_(self.dw_bn(self.dw(out), training=training))
         out = self.attn(out, training=training)
         out = self.project_bn(self.project(out), training=training)
         out = T.dropout(out, MBCONV_DROPOUT, training=training,
@@ -381,7 +381,7 @@ class BSBlock(Module):
 
     def forward(self, x, training=False, seed=0):
         branch = self.pconv(x, training=training)
-        branch = self.mlp_out(T.silu(self.mlp_in(branch)))
+        branch = self.mlp_out(T.silu_(self.mlp_in(branch)))
         branch = T.dropout(branch, BS_DROPOUT, training=training,
                            seed=(seed, self._site()))
         return T.add(x, branch)
@@ -506,7 +506,7 @@ class VKConv(Module):
     def forward(self, x, training=False, seed=0):
         coords = self.sample_coords(x)  # offset row before the project row
         acc = T.bilinear_sample(self.project(x), coords, self.point_w.value)
-        return T.silu(self.bn(acc, training=training))
+        return T.silu_(self.bn(acc, training=training))
 
     def cost(self, x, out):
         _, c, h, w = out.shape  # the c_out projected channels are the ones sampled

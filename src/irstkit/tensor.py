@@ -474,6 +474,19 @@ def silu(x: Tensor4) -> Tensor4:
     return activation(x, "silu")
 
 
+def silu_(x: Tensor4) -> Tensor4:
+    """``silu`` of a tensor nothing else reads, such as a layer's fresh output:
+    unrecorded, it overwrites x block by block, with no full-size buffer."""
+    if _records(x):
+        return silu(x)
+    xd = x.data
+    step = max(1, _BROADCAST_BLOCK_BYTES // max(1, xd[:, :1].nbytes))
+    for c in range(0, xd.shape[1], step):
+        block = xd[:, c:c + step]
+        block *= _logistic(block)  # x * sigmoid(x), the bytes silu gives
+    return x
+
+
 def relu(x: Tensor4) -> Tensor4:
     return activation(x, "relu")
 
@@ -696,32 +709,35 @@ def _phase_regions(h: int, w: int, stride: int, pad: int, m: int, rows: int, ws:
             yield a, b, (..., pr, pc), (..., xr, xc)
 
 
-def _tap_planes(x: np.ndarray, k: int, stride: int, pad: int):
+def _tap_geometry(h: int, w: int, k: int, stride: int, pad: int):
+    """(ho, wo, ws, rows): the output size, and each phase plane's row width
+    ceil(padded width / stride) and row count, ``_tap_planes``' layout."""
+    ho, reach = (h + 2 * pad - k) // stride + 1, (k - 1) // stride
+    return ho, (w + 2 * pad - k) // stride + 1, -(-(w + 2 * pad) // stride), ho + reach + (reach > 0)
+
+
+def _tap_planes(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """The zero-padded input split into stride x stride phase planes.
 
-    Returns (planes, ho, wo, ws).  planes is (m, m, n, c, rows * ws) with
-    m = min(stride, k): plane (a, b) holds padded pixel (a + stride r,
-    b + stride q) at r * ws + q, with ws = ceil(padded width / stride), and
-    is zero past the input.  Kernel tap (i, j) is then the contiguous slice
-    of plane (i % stride, j % stride) of length ho * ws that starts at
+    Returns planes of shape (m, m, n, c, rows * ws), with m = min(stride, k)
+    and ws = ceil(padded width / stride): plane (a, b) holds padded pixel
+    (a + stride r, b + stride q) at r * ws + q and is zero past the input.
+    Kernel tap (i, j) is then the contiguous slice of plane
+    (i % stride, j % stride) of length ho * ws that starts at
     (i // stride) * ws + j // stride: row y, column x of that slice is the
     input under output (y, x) for x < wo, and columns x >= wo are discarded.
     A trailing zero row keeps the last taps' slices inside the plane.  For
     a 1 x 1 kernel at stride 1 without padding the plane is a view of x.
     """
     n, c, h, w = x.shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
     if k == 1 and stride == 1 and pad == 0:
-        return x.reshape(1, 1, n, c, h * w), ho, wo, w
+        return x.reshape(1, 1, n, c, h * w)
     m = min(stride, k)
-    ws = -(-(w + 2 * pad) // stride)
-    reach = (k - 1) // stride
-    rows = ho + reach + (reach > 0)
+    _, _, ws, rows = _tap_geometry(h, w, k, stride, pad)
     planes = np.zeros((m, m, n, c, rows, ws), dtype=x.dtype)
     for a, b, at_plane, at_x in _phase_regions(h, w, stride, pad, m, rows, ws):
         planes[a, b][at_plane] = x[at_x]
-    return planes.reshape(m, m, n, c, rows * ws), ho, wo, ws
+    return planes.reshape(m, m, n, c, rows * ws)
 
 
 def _from_tap_planes(planes: np.ndarray, shape, k: int, stride: int, pad: int, ws: int):
@@ -738,22 +754,28 @@ def _from_tap_planes(planes: np.ndarray, shape, k: int, stride: int, pad: int, w
     return gx
 
 
-# bytes of output per block when conv2d sums broadcast taps block by block:
-# the block, its product buffer and its input rows stay in a core's L2
-# cache across the taps, where whole-tensor passes would stream through L3
+# bytes per block of conv2d's broadcast taps (input planes, output and
+# product rows) and of silu_: a block stays in a core's L2 cache across its
+# passes, where whole-tensor passes stream through L3, and no scratch grows
+# with the input
 _BROADCAST_BLOCK_BYTES = 1 << 19
 
 
-def _tap_blocks(groups: int, cog: int, cg: int, channel_bytes: int) -> list[tuple[slice, slice]]:
+def _tap_blocks(groups: int, cog: int, cg: int, out_bytes: int,
+                plane_bytes: int) -> list[tuple[slice, slice]]:
     """(group, output channel within group) slices that split the output for
     conv2d's tap sum: the whole output for matmul taps (cg > 1), blocks of
-    about ``_BROADCAST_BLOCK_BYTES`` for broadcast taps (cg == 1), where
-    each output channel is ``channel_bytes`` over the batch."""
-    per = max(1, _BROADCAST_BLOCK_BYTES // channel_bytes)
-    if cg > 1 or per >= groups * cog:
+    about ``_BROADCAST_BLOCK_BYTES`` for broadcast taps (cg == 1), counting
+    each output channel's output and product rows (``out_bytes`` each over
+    the batch) and each group's input planes (``plane_bytes``), which the
+    group's output channels share.  A block of one channel may exceed it."""
+    group = plane_bytes + 2 * cog * out_bytes
+    if cg > 1 or _BROADCAST_BLOCK_BYTES >= groups * group:
         return [(slice(None), slice(None))]
-    if per >= cog:  # whole groups per block
-        return [(slice(g, g + per // cog), slice(None)) for g in range(0, groups, per // cog)]
+    if _BROADCAST_BLOCK_BYTES >= group:  # whole groups per block
+        per = _BROADCAST_BLOCK_BYTES // group
+        return [(slice(g, g + per), slice(None)) for g in range(0, groups, per)]
+    per = max(1, (_BROADCAST_BLOCK_BYTES - plane_bytes) // (2 * out_bytes))
     return [(slice(g, g + 1), slice(o, o + per)) for g in range(groups) for o in range(0, cog, per)]
 
 
@@ -772,14 +794,15 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
 
     weight is (c_out, c_in/groups, k, k); output spatial dims follow
     floor((h + 2 pad - k) / stride) + 1.  No patch matrix is built: the
-    padded input is laid out once as stride-phase planes (``_tap_planes``),
-    in which each kernel tap is a contiguous slice, and the output is the
-    sum over taps, in row-major order, of the tap's (c_out/g x c_in/g)
-    weight times its slice, on an (ho, ws) grid whose columns past wo are
-    then dropped.  The product is one matmul batched over images and
-    groups, or a broadcast multiply when c_in/g is 1, summed block by block
-    of output channels (``_tap_blocks``).  The backward pass reads the same
-    planes and accumulates the input gradient in planes of the same layout.
+    padded input is laid out as stride-phase planes (``_tap_planes``), in
+    which each kernel tap is a contiguous slice, and the output is the sum
+    over taps, in row-major order, of the tap's (c_out/g x c_in/g) weight
+    times its slice, on an (ho, ws) grid whose columns past wo are dropped.
+    Matmul taps are one matmul batched over images and groups, over planes
+    of the whole input.  Broadcast taps (c_in/g == 1) are summed block by
+    block of channels (``_tap_blocks``), each over planes and a grid of its
+    own channels, so the input is never copied whole.  The backward pass
+    lays out the whole input and accumulates its gradient in the same layout.
     """
     n, c_in, h, w = x.data.shape
     c_out, c_in_g, kh, kw = weight.data.shape
@@ -795,35 +818,48 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
 
-    planes, ho, wo, ws = _tap_planes(x.data, k, stride, pad)
+    ho, wo, ws, rows = _tap_geometry(h, w, k, stride, pad)
     cg, cog, span = c_in // groups, c_out // groups, ho * ws
     taps = [(i, j) for i in range(k) for j in range(k)]
     # (k*k, groups, c_out/g, c_in/g): each tap's weights contiguous for BLAS
     wt = np.ascontiguousarray(
         weight.data.reshape(groups, cog, cg, k * k).transpose(3, 0, 1, 2))
+    # matmul taps read the whole input's planes, broadcast taps each block's own
+    whole = _tap_planes(x.data, k, stride, pad) if cg > 1 else None
 
     def tap_slice(arr, i, j):
         off = (i // stride) * ws + j // stride
-        return arr[i % stride, j % stride, :, :, off:off + span].reshape(n, groups, -1, span)
+        return arr[i % stride, j % stride, :, :, off:off + span].reshape(n, -1, cg, span)
 
-    grid = np.empty((n, groups, cog, span), dtype=np.result_type(x.data, weight.data))
-    prod = None  # one product buffer for all taps and blocks
-    for gs, cs in _tap_blocks(groups, cog, cg, n * span * grid.itemsize):
-        block = grid[:, gs, cs]
+    out = np.empty((n, groups, cog, ho, wo), dtype=np.result_type(x.data, weight.data))
+    b = None if bias is None else bias.data.reshape(groups, cog, 1, 1)
+    planes, laid, grid, prod = whole, None, None, None  # scratch reused across blocks
+    for gs, cs in _tap_blocks(groups, cog, cg, n * span * out.itemsize,
+                              n * min(stride, k) ** 2 * rows * ws * x.data.itemsize):
+        if whole is None and gs != laid:
+            planes = xs = None  # free the last block's planes before laying out these
+            planes, laid = _tap_planes(x.data[:, gs], k, stride, pad), gs
+        dst = out[:, gs, cs]
+        if ws == wo:  # no column to drop: sum straight into the output
+            block = dst.reshape(dst.shape[:3] + (span,))
+        else:
+            if grid is None:
+                grid = np.empty(dst.shape[:3] + (span,), dtype=out.dtype)
+            block = grid[:, :dst.shape[1], :dst.shape[2]]
         if prod is None and k > 1:
             prod = np.empty_like(block)
         for t, (i, j) in enumerate(taps):
-            xs, wm = tap_slice(planes, i, j)[:, gs], wt[t][gs, cs]
+            xs, wm = tap_slice(planes, i, j), wt[t][gs, cs]
             if t == 0:
                 _tap_product(wm, xs, out=block)
             else:
                 block += _tap_product(wm, xs, out=prod[:, :block.shape[1], :block.shape[2]])
-    out = grid.reshape(n, c_out, ho, ws)[:, :, :, :wo]
-    if bias is None:
-        out = np.ascontiguousarray(out)
-    else:  # the crop and the bias in one pass, in place when no column is dropped
-        out = np.add(out, bias.data.reshape(1, c_out, 1, 1),
-                     out=out if ws == wo else np.empty(out.shape, grid.dtype))
+        crop = block.reshape(block.shape[:3] + (ho, ws))[..., :wo]
+        if b is not None:  # the crop and the bias in one pass
+            np.add(crop, b[gs, cs], out=dst)
+        elif ws != wo:
+            dst[...] = crop
+    out = out.reshape(n, c_out, ho, wo)
 
     inputs: tuple[Tensor4, ...] = (x, weight) if bias is None else (x, weight, bias)
     need_x = x.requires_grad
@@ -834,6 +870,8 @@ def conv2d(x: Tensor4, weight: Tensor4, bias: Tensor4 | None = None,
             gg = np.zeros((n, c_out, ho, ws), dtype=g.dtype)
             gg[:, :, :, :wo] = g
         gg = gg.reshape(n, groups, cog, span)
+        # broadcast taps lay the whole input out again, as batch_norm recomputes xhat
+        planes = whole if whole is not None else _tap_planes(x.data, k, stride, pad)
         gw = np.empty(wt.shape, dtype=np.result_type(g, planes))
         gplanes = np.zeros(planes.shape, dtype=np.result_type(g, wt)) if need_x else None
         buf = np.empty((n, groups, cg, span), dtype=gplanes.dtype) if need_x else None

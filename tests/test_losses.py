@@ -1,5 +1,6 @@
 """Loss functions: scalar oracles, invariants, and composite-loss wiring."""
 
+import copy
 import math
 
 import numpy as np
@@ -693,6 +694,28 @@ class TestFused:
         # c more each, their c_out: 144 + 64 + 144 + 144 = 496
         assert totals == [model.num_scalars(), fused.num_scalars()]
         assert totals == [6_319_388, 6_315_388 + 496] == [6_319_388, 6_315_884]
+
+
+class TestConsecutiveCalls:
+    """The next frame through the same model leaves the last frame's outputs
+    alone: no buffer handed back to a caller is reused underneath it."""
+
+    def test_outputs_survive_the_next_frame(self):
+        model = randomize_bn(D.Detector(D.ModelConfig(), init_seed=4, dtype=np.float32), seed=5)
+        frame_a, frame_b = np.random.default_rng(11).random((2, 1, 1, 96, 96)).astype(np.float32)
+        fused = model.fused()
+        with T.no_grad():
+            heads_a = fused(Tensor4(frame_a))
+            bytes_a = [h.data.tobytes() for h in heads_a]
+            heads_b = fused(Tensor4(frame_b))
+        assert [h.data.tobytes() for h in heads_a] == bytes_a
+        assert [h.data.tobytes() for h in heads_b] != bytes_a
+
+        dets_a = D.predict(model, frame_a, score_thresh=0.3, batch=1)
+        kept = copy.deepcopy(dets_a)
+        dets_b = D.predict(model, frame_b, score_thresh=0.3, batch=1)
+        assert len(dets_a[0]) > 0 and dets_b != dets_a
+        assert dets_a == kept == D.predict(model, frame_a, score_thresh=0.3, batch=1)
 
 
 class TestPipelineGradient:

@@ -158,20 +158,46 @@ class TestConv2d:
 
 
 class TestTapBlocks:
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40), st.integers(1, 40))
-    def test_blocks_cover_each_output_channel_once(self, groups, cog, channel_bytes, block):
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(3, 12),
+           st.integers(1, 2), st.integers(1, 20000))
+    def test_blocks_cover_each_output_channel_once(self, groups, cog, n, size, stride, block):
+        """Every output channel is in exactly one block, and a block's output
+        and product rows plus its groups' input planes fit in the budget,
+        unless the block holds one output channel."""
+        _, _, ws, _ = T._tap_geometry(size, size, 3, stride, 1)
+        out_bytes = n * ((size - 1) // stride + 1) * ws * 4
+        plane_bytes = T._tap_planes(np.zeros((n, 1, size, size), np.float32), 3, stride, 1).nbytes
         with pytest.MonkeyPatch.context() as m:
             m.setattr(T, "_BROADCAST_BLOCK_BYTES", block)
-            blocks = T._tap_blocks(groups, cog, 1, channel_bytes)
+            blocks = T._tap_blocks(groups, cog, 1, out_bytes, plane_bytes)
         hits = np.zeros((groups, cog), dtype=int)
         for gs, cs in blocks:
             hits[gs, cs] += 1
         assert (hits == 1).all()
-        assert all(hits[gs, cs].size * channel_bytes <= max(block, channel_bytes)
-                   for gs, cs in blocks)
+        for gs, cs in blocks:
+            channels, planes = hits[gs, cs].size, len(range(groups)[gs])
+            assert channels == 1 or 2 * channels * out_bytes + planes * plane_bytes <= block
 
     def test_matmul_taps_take_the_whole_output(self):
-        assert T._tap_blocks(4, 8, 2, 1 << 30) == [(slice(None), slice(None))]
+        assert T._tap_blocks(4, 8, 2, 1 << 30, 1 << 30) == [(slice(None), slice(None))]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_broadcast_taps_allocate_block_sized_scratch(self, dtype):
+        """An unrecorded stride-2 depthwise conv lays out each block's planes
+        on its own: beyond its output it allocates about one block, however
+        large the input, and no copy of the whole input."""
+        rng = np.random.default_rng(41)
+        x = T.Tensor4(rng.standard_normal((1, 40, 192, 192)).astype(dtype))
+        w = T.Tensor4(rng.standard_normal((40, 1, 3, 3)).astype(dtype))
+        assert x.data.nbytes >= 8 * T._BROADCAST_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            out = T.conv2d(x, w, stride=2, pad=1, groups=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.op is None and out.shape == (1, 40, 96, 96)
+        assert peak - out.data.nbytes <= T._BROADCAST_BLOCK_BYTES + (1 << 16)
 
 
 class TestDepthwiseConv2d:
@@ -632,6 +658,23 @@ class TestUnrecordedForward:
         assert xd.tobytes() == before.tobytes()
         if op == "silu":
             assert not np.shares_memory(unrecorded.data, xd)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [1, None], ids=["one_channel_blocks", "default_blocks"])
+    def test_silu_in_place(self, dtype, block, monkeypatch):
+        """``silu_`` unrecorded overwrites its input, block by block, with
+        silu's bytes; recorded, it is silu and leaves its input alone."""
+        xd = self.input(dtype)
+        want = T.silu(T.Tensor4(xd.copy())).data
+        if block is not None:
+            monkeypatch.setattr(T, "_BROADCAST_BLOCK_BYTES", block)
+        x = T.Tensor4(xd.copy())
+        out = T.silu_(x)
+        assert out is x and out.op is None
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        recorded = T.silu_(T.Tensor4(xd, requires_grad=True))
+        assert recorded.op is not None and recorded.data.tobytes() == want.tobytes()
+        assert xd.tobytes() == self.input(dtype).tobytes()
 
 
 class TestSnapshotFormat:
