@@ -32,33 +32,40 @@ from .tensor import ParamTensor, RunningStats, Tensor4
 
 
 class Module:
-    """Named container of parameters, buffers, and child modules.  A call
-    checks the input width against ``in_channels`` (when set), runs
-    ``forward``, then records ``cost`` as this module's cost-tape row."""
+    """Named container of parameters, running stats, and child modules.  A
+    call checks the input width against ``in_channels`` (when set), runs
+    ``forward``, then records ``cost`` as this module's cost-tape row.
+
+    Assigning a :class:`ParamTensor`, :class:`RunningStats` or
+    :class:`Module` to an attribute registers it, and assignment order is
+    checkpoint order: a module's parameters, then its running stats, then
+    its children, each kind in the order assigned.  Reassigning a registered
+    name replaces its entry in place; any other value unregisters the name."""
 
     # (conv attribute, batch-norm attribute) pairs in which the batch norm
     # directly follows the conv; ``fold_bn`` merges each pair into the conv
     bn_pairs: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, name: str, in_channels: int | None = None):
+        object.__setattr__(self, "_registry", {})
         self.name = name
         self.in_channels = in_channels
-        self._children: list[Module] = []
-        self._local_params: list[ParamTensor] = []
-        self._buffers: list[tuple[str, RunningStats]] = []
 
-    def _child(self, module: "Module") -> "Module":
-        self._children.append(module)
-        return module
+    def __setattr__(self, attr: str, value) -> None:
+        if isinstance(value, (ParamTensor, RunningStats, Module)):
+            self._registry[attr] = value
+        else:
+            self._registry.pop(attr, None)
+        object.__setattr__(self, attr, value)
+
+    def _own(self, kind) -> list:
+        return [v for v in self._registry.values() if isinstance(v, kind)]
 
     def _param(self, suffix: str, array: np.ndarray) -> ParamTensor:
-        t = Tensor4(array, requires_grad=True, name=f"{self.name}.{suffix}")
-        p = ParamTensor(value=t)
-        self._local_params.append(p)
-        return p
+        return ParamTensor(value=Tensor4(array, requires_grad=True, name=f"{self.name}.{suffix}"))
 
     def parameters(self) -> list[ParamTensor]:
-        return [p for m in self.sublayers() for p in m._local_params]
+        return [p for m in self.sublayers() for p in m._own(ParamTensor)]
 
     def num_scalars(self) -> int:
         return sum(p.value.data.size for p in self.parameters())
@@ -66,30 +73,30 @@ class Module:
     def sublayers(self):
         """This module and its descendants in pre-order (checkpoint order)."""
         yield self
-        for c in self._children:
+        for c in self._own(Module):
             yield from c.sublayers()
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """(name, rank-4 array) pairs, per module: parameters then stat buffers."""
+        """(name, rank-4 array) pairs, per module: parameters then running stats."""
         out = []
         for m in self.sublayers():
-            out += [(p.value.name, p.value.data) for p in m._local_params]
-            for bname, stats in m._buffers:
-                out.append((f"{bname}.running_mean", stats.mean.reshape(1, -1, 1, 1)))
-                out.append((f"{bname}.running_var", stats.var.reshape(1, -1, 1, 1)))
+            out += [(p.value.name, p.value.data) for p in m._own(ParamTensor)]
+            for stats in m._own(RunningStats):
+                out.append((f"{m.name}.running_mean", stats.mean.reshape(1, -1, 1, 1)))
+                out.append((f"{m.name}.running_var", stats.var.reshape(1, -1, 1, 1)))
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         for m in self.sublayers():
-            for p in m._local_params:
+            for p in m._own(ParamTensor):
                 src = arrays[p.value.name]
                 if src.shape != p.value.data.shape:
                     raise ShapeError(f"{p.value.name}: checkpoint shape {src.shape} "
                                      f"!= model shape {p.value.data.shape}")
                 p.value.data = src.astype(p.value.data.dtype)
-            for bname, stats in m._buffers:
-                stats.mean = arrays[f"{bname}.running_mean"].reshape(-1).astype(np.float64)
-                stats.var = arrays[f"{bname}.running_var"].reshape(-1).astype(np.float64)
+            for stats in m._own(RunningStats):
+                stats.mean = arrays[f"{m.name}.running_mean"].reshape(-1).astype(np.float64)
+                stats.var = arrays[f"{m.name}.running_var"].reshape(-1).astype(np.float64)
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -131,7 +138,6 @@ class Conv2dLayer(Module):
             raise ConfigError(f"{name}: groups {groups} must divide {c_in} and {c_out}")
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.pad, self.groups = stride, pad, groups
-        self.has_bias = bias
         rng = rng if rng is not None else np.random.default_rng(0)
         fan_in = (c_in // groups) * k * k
         if zero_init:
@@ -150,7 +156,7 @@ class Conv2dLayer(Module):
     def cost(self, x, out):
         return complexity.count_conv(self.c_in, self.c_out, self.k,
                                      out.shape[2], out.shape[3],
-                                     groups=self.groups, bias=self.has_bias)
+                                     groups=self.groups, bias=self.bias is not None)
 
 
 class BatchNormLayer(Module):
@@ -160,7 +166,6 @@ class BatchNormLayer(Module):
         self.gamma = self._param("gamma", np.ones((1, c, 1, 1), dtype=dtype))
         self.beta = self._param("beta", np.zeros((1, c, 1, 1), dtype=dtype))
         self.stats = RunningStats.create(c)
-        self._buffers.append((name, self.stats))
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
         return T.batch_norm(x, self.gamma.value, self.beta.value, self.stats,
@@ -202,13 +207,9 @@ def fold_bn(model: Module) -> Module:
             if conv.bias is not None:
                 shift = shift + conv.bias.value.data.reshape(-1)
             bias = bn.beta.value.data.reshape(-1) + shift * scale
-            conv._local_params = []
             conv.weight = conv._param("weight", w * scale.astype(w.dtype).reshape(-1, 1, 1, 1))
             conv.bias = conv._param("bias", bias.astype(w.dtype).reshape(1, -1, 1, 1))
-            conv.has_bias = True
-            passthrough = PassThrough(bn.name)
-            m._children[m._children.index(bn)] = passthrough
-            setattr(m, bn_attr, passthrough)
+            setattr(m, bn_attr, PassThrough(bn.name))
     return fused
 
 
@@ -221,9 +222,9 @@ class ConvBnSilu(Module):
     def __init__(self, name: str, c_in: int, c_out: int, k: int, stride: int = 1,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name)
-        self.conv = self._child(Conv2dLayer(f"{name}.conv", c_in, c_out, k,
-                                            stride=stride, pad=k // 2, rng=rng, dtype=dtype))
-        self.bn = self._child(BatchNormLayer(f"{name}.bn", c_out, dtype=dtype))
+        self.conv = Conv2dLayer(f"{name}.conv", c_in, c_out, k,
+                                stride=stride, pad=k // 2, rng=rng, dtype=dtype)
+        self.bn = BatchNormLayer(f"{name}.bn", c_out, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         return T.silu_(self.bn(self.conv(x), training=training))
@@ -251,12 +252,12 @@ class CBAM(Module):
             raise ConfigError(f"{name}: channels {c} must be divisible by "
                               f"reduction {CBAM_REDUCTION}")
         hidden = c // CBAM_REDUCTION
-        self.fc1 = self._child(Conv2dLayer(f"{name}.fc1", c, hidden, 1, bias=True,
-                                           rng=rng, dtype=dtype))
-        self.fc2 = self._child(Conv2dLayer(f"{name}.fc2", hidden, c, 1, bias=True,
-                                           rng=rng, dtype=dtype))
-        self.spatial = self._child(Conv2dLayer(f"{name}.spatial", 2, 1, 7, pad=3,
-                                               bias=True, rng=rng, dtype=dtype))
+        self.fc1 = Conv2dLayer(f"{name}.fc1", c, hidden, 1, bias=True,
+                               rng=rng, dtype=dtype)
+        self.fc2 = Conv2dLayer(f"{name}.fc2", hidden, c, 1, bias=True,
+                               rng=rng, dtype=dtype)
+        self.spatial = Conv2dLayer(f"{name}.spatial", 2, 1, 7, pad=3,
+                                   bias=True, rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         avg = T.pool_global(x, "avg")
@@ -315,17 +316,17 @@ class MBConvBlock(Module):
         super().__init__(name, in_channels=cfg.c_in)
         self.cfg = cfg
         h = cfg.hidden
-        self.expand = self._child(ConvBnSilu(f"{name}.expand", cfg.c_in, h, 1,
-                                             rng=rng, dtype=dtype))
-        self.dw = self._child(Conv2dLayer(f"{name}.dw", h, h, MBCONV_KERNEL,
-                                          stride=cfg.stride, pad=MBCONV_KERNEL // 2,
-                                          groups=h, rng=rng, dtype=dtype))
-        self.dw_bn = self._child(BatchNormLayer(f"{name}.dw_bn", h, dtype=dtype))
-        self.attn = self._child(CBAM(f"{name}.attn", h, rng=rng, dtype=dtype))
-        self.project = self._child(Conv2dLayer(f"{name}.project", h, cfg.c_out, 1,
-                                               rng=rng, dtype=dtype))
-        self.project_bn = self._child(BatchNormLayer(f"{name}.project_bn", cfg.c_out,
-                                                     dtype=dtype))
+        self.expand = ConvBnSilu(f"{name}.expand", cfg.c_in, h, 1,
+                                 rng=rng, dtype=dtype)
+        self.dw = Conv2dLayer(f"{name}.dw", h, h, MBCONV_KERNEL,
+                              stride=cfg.stride, pad=MBCONV_KERNEL // 2,
+                              groups=h, rng=rng, dtype=dtype)
+        self.dw_bn = BatchNormLayer(f"{name}.dw_bn", h, dtype=dtype)
+        self.attn = CBAM(f"{name}.attn", h, rng=rng, dtype=dtype)
+        self.project = Conv2dLayer(f"{name}.project", h, cfg.c_out, 1,
+                                   rng=rng, dtype=dtype)
+        self.project_bn = BatchNormLayer(f"{name}.project_bn", cfg.c_out,
+                                         dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         out = self.expand(x, training=training)
@@ -357,8 +358,8 @@ class PartialConv(Module):
         super().__init__(name, in_channels=c)
         self.c = c
         self.cp = math.ceil(PARTIAL_RATIO * c)
-        self.conv = self._child(Conv2dLayer(f"{name}.conv", self.cp, self.cp, 3,
-                                            pad=1, rng=rng, dtype=dtype))
+        self.conv = Conv2dLayer(f"{name}.conv", self.cp, self.cp, 3,
+                                pad=1, rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         head = T.slice_channels(x, 0, self.cp)
@@ -373,11 +374,11 @@ class BSBlock(Module):
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name, in_channels=c)
         hid = BS_MLP_EXPANSION * c
-        self.pconv = self._child(PartialConv(f"{name}.pconv", c, rng=rng, dtype=dtype))
-        self.mlp_in = self._child(Conv2dLayer(f"{name}.mlp_in", c, hid, 1, bias=True,
-                                              rng=rng, dtype=dtype))
-        self.mlp_out = self._child(Conv2dLayer(f"{name}.mlp_out", hid, c, 1, bias=True,
-                                               rng=rng, dtype=dtype))
+        self.pconv = PartialConv(f"{name}.pconv", c, rng=rng, dtype=dtype)
+        self.mlp_in = Conv2dLayer(f"{name}.mlp_in", c, hid, 1, bias=True,
+                                  rng=rng, dtype=dtype)
+        self.mlp_out = Conv2dLayer(f"{name}.mlp_out", hid, c, 1, bias=True,
+                                   rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         branch = self.pconv(x, training=training)
@@ -412,10 +413,10 @@ class GSConvBlock(Module):
     def __init__(self, name: str, cfg: GSConvConfig,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name, in_channels=cfg.c_in)
-        self.cbs = self._child(ConvBnSilu(f"{name}.cbs", cfg.c_in, cfg.c_out, 3,
-                                          stride=cfg.stride, rng=rng, dtype=dtype))
-        self.dw = self._child(Conv2dLayer(f"{name}.dw", cfg.c_out, cfg.c_out, 3,
-                                          pad=1, groups=cfg.c_out, rng=rng, dtype=dtype))
+        self.cbs = ConvBnSilu(f"{name}.cbs", cfg.c_in, cfg.c_out, 3,
+                              stride=cfg.stride, rng=rng, dtype=dtype)
+        self.dw = Conv2dLayer(f"{name}.dw", cfg.c_out, cfg.c_out, 3,
+                              pad=1, groups=cfg.c_out, rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         fc = self.cbs(x, training=training)
@@ -431,10 +432,10 @@ class GSBottleneck(Module):
         super().__init__(name)
         if c % 2:
             raise ConfigError(f"{name}: width {c} must be even")
-        self.gs1 = self._child(GSConvBlock(
-            f"{name}.gs1", GSConvConfig(c, c // 2, stride=1), rng=rng, dtype=dtype))
-        self.gs2 = self._child(GSConvBlock(
-            f"{name}.gs2", GSConvConfig(c, c // 2, stride=1), rng=rng, dtype=dtype))
+        self.gs1 = GSConvBlock(
+            f"{name}.gs1", GSConvConfig(c, c // 2, stride=1), rng=rng, dtype=dtype)
+        self.gs2 = GSConvBlock(
+            f"{name}.gs2", GSConvConfig(c, c // 2, stride=1), rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         out = self.gs2(self.gs1(x, training=training), training=training)
@@ -486,14 +487,14 @@ class VKConv(Module):
         k = VK_POINTS
         self.base = vk_base_coords(k)
         # zero-init offsets: the initial pattern is the fixed base grid
-        self.offset_conv = self._child(Conv2dLayer(
+        self.offset_conv = Conv2dLayer(
             f"{name}.offset", c_in, 2 * k, 3, pad=1, bias=True, zero_init=True,
-            rng=rng, dtype=dtype))
+            rng=rng, dtype=dtype)
         self.alpha = self._param("alpha", np.full((1, 1, 1, 1), VK_OFFSET_SCALE, dtype=dtype))
         self.point_w = self._param("point_w", np.full((1, k, 1, 1), 1.0 / k, dtype=dtype))
-        self.project = self._child(Conv2dLayer(f"{name}.project", c_in, c_out, 1,
-                                               rng=rng, dtype=dtype))
-        self.bn = self._child(BatchNormLayer(f"{name}.bn", c_out, dtype=dtype))
+        self.project = Conv2dLayer(f"{name}.project", c_in, c_out, 1,
+                                   rng=rng, dtype=dtype)
+        self.bn = BatchNormLayer(f"{name}.bn", c_out, dtype=dtype)
 
     def sample_coords(self, x: Tensor4) -> Tensor4:
         """(n, 2K, h, w) sampling coordinates in the offset layout: scaled
@@ -532,15 +533,15 @@ class AVCStem(Module):
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__(name, in_channels=c_in)
         c_a = max(c_out // 2, 2)
-        self.branch_a = self._child(ConvBnSilu(f"{name}.branch_a", c_in, c_a, 1,
-                                               rng=rng, dtype=dtype))
-        self.branch_b = self._child(GSBottleneck(f"{name}.branch_b", c_in,
-                                                 rng=rng, dtype=dtype))
-        self.gate1 = self._child(Conv2dLayer(f"{name}.gate1", c_in, c_in, 1,
-                                             bias=True, rng=rng, dtype=dtype))
-        self.gate3 = self._child(Conv2dLayer(f"{name}.gate3", c_in, c_in, 3,
-                                             pad=1, bias=True, rng=rng, dtype=dtype))
-        self.vk = self._child(VKConv(f"{name}.vk", c_a + c_in, c_out, rng=rng, dtype=dtype))
+        self.branch_a = ConvBnSilu(f"{name}.branch_a", c_in, c_a, 1,
+                                   rng=rng, dtype=dtype)
+        self.branch_b = GSBottleneck(f"{name}.branch_b", c_in,
+                                     rng=rng, dtype=dtype)
+        self.gate1 = Conv2dLayer(f"{name}.gate1", c_in, c_in, 1,
+                                 bias=True, rng=rng, dtype=dtype)
+        self.gate3 = Conv2dLayer(f"{name}.gate3", c_in, c_in, 3,
+                                 pad=1, bias=True, rng=rng, dtype=dtype)
+        self.vk = VKConv(f"{name}.vk", c_a + c_in, c_out, rng=rng, dtype=dtype)
 
     def gate(self, x: Tensor4) -> Tensor4:
         return T.sigmoid(T.mul(self.gate1(x), self.gate3(x)))

@@ -87,6 +87,8 @@ def serialize_yolo_labels(gts: list[GroundTruth]) -> str:
 # Dataset split
 # ---------------------------------------------------------------------------
 
+SPLITS = ("train", "val", "test")
+
 
 def split_dataset(ids: list, seed: int) -> tuple[list, list, list]:
     """Seeded shuffle then a 60/20/20 train/val/test partition; rounding
@@ -255,7 +257,7 @@ def generate_dataset(spec: SceneSpec, count: int, out_dir, seed: int) -> list[Da
     stems = [f"scene_{i:04d}" for i in range(count)]
     split_of = {}
     train, val, test = split_dataset(stems, seed)
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in zip(SPLITS, (train, val, test)):
         for stem in part:
             split_of[stem] = name
     for i, stem in enumerate(stems):
@@ -284,6 +286,8 @@ def read_manifest(path) -> list[DatasetItem]:
         fields = line.split()
         if len(fields) != 4:
             raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(fields)}")
+        if fields[3] not in SPLITS:
+            raise ParseError(f"{path}:{lineno}: split {fields[3]!r} is not one of {SPLITS}")
         items.append(DatasetItem(*fields))
     return items
 

@@ -127,16 +127,16 @@ class TrainConfig:
 class Head(Module):
     def __init__(self, name: str, c_in: int, c_out: int, rng, dtype):
         super().__init__(name)
-        self.stem = self._child(ConvBnSilu(f"{name}.stem", c_in, c_in, 3, rng=rng, dtype=dtype))
-        self.out = self._child(Conv2dLayer(f"{name}.out", c_in, c_out, 1, bias=True,
-                                           rng=rng, dtype=dtype))
+        self.stem = ConvBnSilu(f"{name}.stem", c_in, c_in, 3, rng=rng, dtype=dtype)
+        self.out = Conv2dLayer(f"{name}.out", c_in, c_out, 1, bias=True,
+                               rng=rng, dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
         return self.out(self.stem(x, training=training))
 
 
 class Detector(Module):
-    """Backbone -> fused neck -> three detection heads."""
+    """Backbone -> fused neck -> detection heads ``head0``-``head2``."""
 
     def __init__(self, cfg: ModelConfig, init_seed: int = 7, dtype=np.float64):
         super().__init__("model", in_channels=cfg.in_channels)
@@ -144,35 +144,36 @@ class Detector(Module):
         rng = np.random.default_rng(init_seed)
         w0, w1, w2, w3 = cfg.widths
 
-        self.stem = self._child(ConvBnSilu("model.stem", cfg.in_channels, w0, 3,
-                                           stride=2, rng=rng, dtype=dtype))
+        self.stem = ConvBnSilu("model.stem", cfg.in_channels, w0, 3,
+                               stride=2, rng=rng, dtype=dtype)
         # shallow stages: inverted bottlenecks, one in stage a and two in stage b
-        self.a0 = self._child(MBConvBlock("model.a0", MBConvConfig(w0, w1, stride=2),
-                                          rng=rng, dtype=dtype))
-        self.b0 = self._child(MBConvBlock("model.b0", MBConvConfig(w1, w2, stride=2),
-                                          rng=rng, dtype=dtype))
-        self.b1 = self._child(MBConvBlock("model.b1", MBConvConfig(w2, w2),
-                                          rng=rng, dtype=dtype))
+        self.a0 = MBConvBlock("model.a0", MBConvConfig(w0, w1, stride=2),
+                              rng=rng, dtype=dtype)
+        self.b0 = MBConvBlock("model.b0", MBConvConfig(w1, w2, stride=2),
+                              rng=rng, dtype=dtype)
+        self.b1 = MBConvBlock("model.b1", MBConvConfig(w2, w2),
+                              rng=rng, dtype=dtype)
         # deep stages: strided conv then partial-conv bottleneck
-        self.down_c = self._child(ConvBnSilu("model.down_c", w2, w3, 3, stride=2,
-                                             rng=rng, dtype=dtype))
-        self.bs_c = self._child(BSBlock("model.bs_c", w3, rng=rng, dtype=dtype))
-        self.down_d = self._child(ConvBnSilu("model.down_d", w3, w3, 3, stride=2,
-                                             rng=rng, dtype=dtype))
-        self.bs_d = self._child(BSBlock("model.bs_d", w3, rng=rng, dtype=dtype))
+        self.down_c = ConvBnSilu("model.down_c", w2, w3, 3, stride=2,
+                                 rng=rng, dtype=dtype)
+        self.bs_c = BSBlock("model.bs_c", w3, rng=rng, dtype=dtype)
+        self.down_d = ConvBnSilu("model.down_d", w3, w3, 3, stride=2,
+                                 rng=rng, dtype=dtype)
+        self.bs_d = BSBlock("model.bs_d", w3, rng=rng, dtype=dtype)
         # neck: top-down fusion then bottom-up re-aggregation
-        self.fuse_t4 = self._child(AVCStem("model.fuse_t4", 2 * w3, w3, rng=rng, dtype=dtype))
-        self.fuse_t3 = self._child(AVCStem("model.fuse_t3", w3 + w2, w2, rng=rng, dtype=dtype))
-        self.down_34 = self._child(GSConvBlock("model.down_34",
-                                               GSConvConfig(w2, w2 // 2, stride=2),
-                                               rng=rng, dtype=dtype))
-        self.fuse_m4 = self._child(AVCStem("model.fuse_m4", w2 + w3, w3, rng=rng, dtype=dtype))
-        self.down_45 = self._child(GSConvBlock("model.down_45",
-                                               GSConvConfig(w3, w3 // 2, stride=2),
-                                               rng=rng, dtype=dtype))
-        self.fuse_m5 = self._child(AVCStem("model.fuse_m5", 2 * w3, w3, rng=rng, dtype=dtype))
-        self.heads = [self._child(Head(f"model.head{i}", c, cfg.head_channels, rng, dtype))
-                      for i, c in enumerate((w2, w3, w3))]
+        self.fuse_t4 = AVCStem("model.fuse_t4", 2 * w3, w3, rng=rng, dtype=dtype)
+        self.fuse_t3 = AVCStem("model.fuse_t3", w3 + w2, w2, rng=rng, dtype=dtype)
+        self.down_34 = GSConvBlock("model.down_34",
+                                   GSConvConfig(w2, w2 // 2, stride=2),
+                                   rng=rng, dtype=dtype)
+        self.fuse_m4 = AVCStem("model.fuse_m4", w2 + w3, w3, rng=rng, dtype=dtype)
+        self.down_45 = GSConvBlock("model.down_45",
+                                   GSConvConfig(w3, w3 // 2, stride=2),
+                                   rng=rng, dtype=dtype)
+        self.fuse_m5 = AVCStem("model.fuse_m5", 2 * w3, w3, rng=rng, dtype=dtype)
+        self.head0 = Head("model.head0", w2, cfg.head_channels, rng, dtype)
+        self.head1 = Head("model.head1", w3, cfg.head_channels, rng, dtype)
+        self.head2 = Head("model.head2", w3, cfg.head_channels, rng, dtype)
         self.dtype = dtype
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> list[Tensor4]:
@@ -185,15 +186,15 @@ class Detector(Module):
         t3 = self.fuse_t3(T.concat_channels([T.upsample2x(t4), c3]), **kw)
         m4 = self.fuse_m4(T.concat_channels([self.down_34(t3, **kw), t4]), **kw)
         m5 = self.fuse_m5(T.concat_channels([self.down_45(m4, **kw), c5]), **kw)
-        return [self.heads[0](t3, **kw), self.heads[1](m4, **kw), self.heads[2](m5, **kw)]
+        return [self.head0(t3, **kw), self.head1(m4, **kw), self.head2(m5, **kw)]
 
     def fused(self) -> "Detector":
         """Inference-only copy with each batch norm that directly follows a
-        conv folded into it (``blocks.fold_bn``): its heads equal this model's
-        inference-mode heads up to rounding, with 29 fewer batch-norm passes
-        per forward (VKConv's four, which follow its sample, stay).
-        ``self`` is unchanged and the copy shares its unfolded parameters;
-        build a new copy after the weights change."""
+        conv folded into it (``blocks.fold_bn``): its ``head0``-``head2``
+        equal this model's inference-mode heads up to rounding, with 29 fewer
+        batch-norm passes per forward (VKConv's four, which follow its
+        sample, stay).  ``self`` is unchanged and the copy shares its
+        unfolded parameters; build a new copy after the weights change."""
         return fold_bn(self)
 
 

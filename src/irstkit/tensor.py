@@ -589,13 +589,6 @@ def concat_channels(xs: Sequence[Tensor4]) -> Tensor4:
     return _make(out, "concat_channels", tuple(xs), back)
 
 
-def split_channels(x: Tensor4, sizes: Sequence[int]) -> list[Tensor4]:
-    if sum(sizes) != x.data.shape[1]:
-        raise ShapeError(f"split sizes {sizes} do not sum to {x.data.shape[1]} channels")
-    bounds = np.cumsum([0] + list(sizes))
-    return [slice_channels(x, int(bounds[i]), int(bounds[i + 1])) for i in range(len(sizes))]
-
-
 def slice_channels(x: Tensor4, lo: int, hi: int) -> Tensor4:
     if not (0 <= lo < hi <= x.data.shape[1]):
         raise ShapeError(f"channel slice [{lo}:{hi}] outside 0..{x.data.shape[1]}")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irstkit import blocks as B
+from irstkit import complexity as C
 from irstkit import detector as D
 from irstkit import tensor as T
 from irstkit.errors import ConfigError, ContractError, DataError, ParseError, ShapeError
@@ -428,9 +429,8 @@ class TestFoldBn:
 
         def __init__(self, rng):
             super().__init__("p")
-            self.conv = self._child(B.Conv2dLayer("p.conv", 3, 5, 3, stride=2, pad=1,
-                                                  bias=True, rng=rng))
-            self.bn = self._child(B.BatchNormLayer("p.bn", 5))
+            self.conv = B.Conv2dLayer("p.conv", 3, 5, 3, stride=2, pad=1, bias=True, rng=rng)
+            self.bn = B.BatchNormLayer("p.bn", 5)
 
         def forward(self, x, training=False, seed=0):
             return self.bn(self.conv(x), training=training)
@@ -462,6 +462,14 @@ class TestFoldBn:
         kept = [m.name for m in fused.sublayers() if isinstance(m, B.BatchNormLayer)]
         assert kept == (["v.bn"] if isinstance(block, B.VKConv) else [])
         assert type(fused) is type(block)
+
+    def test_folded_conv_bias_follows_its_weight(self):
+        # the fold gives a bias-free conv its bias after its weight, and the
+        # PassThrough in the norm's place holds no state
+        fused = B.fold_bn(B.ConvBnSilu("c", 2, 4, 3))
+        assert [name for name, _ in fused.state_arrays()] == ["c.conv.weight", "c.conv.bias"]
+        assert [m.name for m in fused.sublayers()] == ["c", "c.conv", "c.bn"]
+        assert isinstance(fused.bn, B.PassThrough)
 
     def test_folded_model_is_inference_only(self):
         fused = B.fold_bn(B.ConvBnSilu("c", 2, 4, 3))
@@ -502,6 +510,46 @@ class TestCheckpoint:
         assert [p.value.name for p in vk.parameters()] == names
         assert [name for name, _ in vk.state_arrays()] == names + [
             "vk.bn.running_mean", "vk.bn.running_var"]
+
+    def test_one_assignment_builds_a_variant(self):
+        # an ablation: fuse_t3's VKConv becomes a plain conv of the same widths
+        cfg = D.ModelConfig(input_size=32, widths=(4, 4, 4, 6), reg_bins=4)
+        model = D.Detector(cfg, init_seed=3)
+        old = model.fuse_t3.vk
+        before = list(model.sublayers())
+        at = before.index(old)
+        end = at + len(list(old.sublayers()))
+        old_names = [name for name, _ in old.state_arrays()]
+        states = [name for name, _ in model.state_arrays()]
+        cut = states.index(old_names[0])
+        assert states[cut:cut + len(old_names)] == old_names
+
+        model.fuse_t3.vk = B.ConvBnSilu("model.fuse_t3.vk", old.in_channels,
+                                        old.project.c_out, 3, rng=np.random.default_rng(4))
+        new = model.fuse_t3.vk
+        after = list(model.sublayers())
+        assert after == before[:at] + list(new.sublayers()) + before[end:]
+        new_names = [name for name, _ in new.state_arrays()]
+        want = states[:cut] + new_names + states[cut + len(old_names):]
+        assert [name for name, _ in model.state_arrays()] == want
+        assert [p.name for p in model.parameters()] == [n for n in want if "running_" not in n]
+        assert list(model.fuse_t3._registry) == ["branch_a", "branch_b", "gate1", "gate3", "vk"]
+
+        x = Tensor4(np.random.default_rng(5).random((1, 1, 32, 32)))
+        with T.no_grad(), C.tracking() as tape:
+            heads = model(x)
+        assert [h.shape for h in heads] == [(1, cfg.head_channels, s, s) for s in (4, 2, 1)]
+        assert tape.report().total_params == model.num_scalars()
+        # configuration and dtype are plain attributes, not registered state
+        assert list(model._registry) == [
+            "stem", "a0", "b0", "b1", "down_c", "bs_c", "down_d", "bs_d", "fuse_t4",
+            "fuse_t3", "down_34", "fuse_m4", "down_45", "fuse_m5", "head0", "head1", "head2"]
+
+    def test_non_state_value_unregisters_its_name(self):
+        conv = B.Conv2dLayer("c", 2, 3, 1, bias=True)
+        conv.bias = None
+        assert [name for name, _ in conv.state_arrays()] == ["c.weight"]
+        assert conv(rand_input((1, 2, 4, 4))).shape == (1, 3, 4, 4)
 
     def test_round_trip_restores_outputs(self, tmp_path):
         rng = np.random.default_rng(36)

@@ -115,3 +115,40 @@ def test_scene_is_deterministic_and_its_boxes_never_overlap(seed, max_targets):
     for i, a in enumerate(boxes):
         for b in boxes[:i]:
             assert min(a[2], b[2]) <= max(a[0], b[0]) or min(a[3], b[3]) <= max(a[1], b[1])
+
+
+def write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("split", ["training", "Val", "tset"])
+def test_manifest_unknown_split_raises_parse_error(tmp_path, split):
+    # a misspelt split would otherwise drop its items from every load_split
+    path = write_lines(tmp_path / "manifest.txt", "a a.pgm a.txt train", f"b b.pgm b.txt {split}")
+    with pytest.raises(ParseError, match=rf":2: split '{split}' is not one of"):
+        data.read_manifest(path)
+
+
+@pytest.mark.parametrize("line", ["a a.pgm a.txt", "a a.pgm a.txt train extra"])
+def test_manifest_wrong_field_count_raises_parse_error(tmp_path, line):
+    path = write_lines(tmp_path / "manifest.txt", "", line)
+    with pytest.raises(ParseError, match=":2: expected 4 fields, got"):
+        data.read_manifest(path)
+
+
+def test_generated_dataset_loads_back_per_split(tmp_path):
+    spec = data.SceneSpec(size=32, max_targets=2)
+    items = data.generate_dataset(spec, 6, tmp_path, seed=3)
+    for split in data.SPLITS:
+        images, labels = data.load_split(tmp_path / "manifest.txt", split)
+        part = [i for i, it in enumerate(items) if it.split == split]
+        assert images.shape == (len(part), 1, 32, 32) and len(labels) == len(part)
+        for i, image, got in zip(part, images, labels):
+            want_image, want = data.generate_scene(
+                data.SceneSpec(size=32, max_targets=2, seed=3 * 100_003 + i))
+            # 8-bit pixels round to within half a grey level
+            assert np.abs(image[0] - want_image).max() <= 0.5 / 255 + 1e-12
+            assert [g.class_id for g in got] == [g.class_id for g in want]
+            np.testing.assert_allclose([[g.cx, g.cy, g.w, g.h] for g in got],
+                                       [[g.cx, g.cy, g.w, g.h] for g in want], atol=1e-6)

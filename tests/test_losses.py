@@ -650,7 +650,7 @@ class TestFused:
         assert kept == [f"model.{s}.vk.bn" for s in ("fuse_t4", "fuse_t3", "fuse_m4", "fuse_m5")]
         assert sum(isinstance(m, B.PassThrough) for m in fused.sublayers()) == 29
         # unfolded parameters are shared, folded convs get new arrays
-        assert fused.heads[0].out.weight.value.data is model.heads[0].out.weight.value.data
+        assert fused.head0.out.weight.value.data is model.head0.out.weight.value.data
         assert fused.stem.conv.weight.value.data is not model.stem.conv.weight.value.data
         assert type(fused.a0) is B.MBConvBlock
 
