@@ -153,6 +153,14 @@ class Conv2dLayer(Module):
                         bias=self.bias.value if self.bias else None,
                         stride=self.stride, pad=self.pad, groups=self.groups)
 
+    def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
+        """Output channels lo..hi-1 of an unrecorded ``forward``, for a dense
+        or depthwise conv; a depthwise conv's x holds only those channels."""
+        return T.conv2d(x, Tensor4(self.weight.value.data[lo:hi]),
+                        bias=Tensor4(self.bias.value.data[:, lo:hi]) if self.bias else None,
+                        stride=self.stride, pad=self.pad,
+                        groups=1 if self.groups == 1 else hi - lo)
+
     def cost(self, x, out):
         return complexity.count_conv(self.c_in, self.c_out, self.k,
                                      out.shape[2], out.shape[3],
@@ -171,6 +179,14 @@ class BatchNormLayer(Module):
         return T.batch_norm(x, self.gamma.value, self.beta.value, self.stats,
                             training=training)
 
+    def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
+        """Channels lo..hi-1 of the inference-mode ``forward``, unrecorded;
+        x holds only those channels."""
+        return T.batch_norm(x, Tensor4(self.gamma.value.data[:, lo:hi]),
+                            Tensor4(self.beta.value.data[:, lo:hi]),
+                            RunningStats(self.stats.mean[lo:hi], self.stats.var[lo:hi]),
+                            training=False)
+
     def cost(self, x, out):
         return 2 * self.c, 0
 
@@ -183,6 +199,9 @@ class PassThrough(Module):
         if training:
             raise ContractError(f"{self.name}: batch norm folded into its conv; "
                                 "the model is inference-only")
+        return x
+
+    def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
         return x
 
 
@@ -228,6 +247,10 @@ class ConvBnSilu(Module):
 
     def forward(self, x, training=False, seed=0):
         return T.silu_(self.bn(self.conv(x), training=training))
+
+    def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
+        """Output channels lo..hi-1 of the inference-mode ``forward``, unrecorded."""
+        return T.silu_(self.bn.rows(self.conv.rows(x, lo, hi), lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +303,21 @@ class CBAM(Module):
 MBCONV_EXPANSION = 6  # hidden width = 6 x input width, the paper's MBConv block
 MBCONV_KERNEL = 3  # depthwise kernel of the paper's MBConv block
 MBCONV_DROPOUT = 0.1  # drop rate on the paper's MBConv projection
+# an unrecorded MBConv expands its hidden channels in blocks of about this
+# many bytes and of no fewer than MBCONV_MIN_BLOCK channels: every block
+# re-reads the whole input, so tiny blocks are slow
+MBCONV_BLOCK_BYTES = 1 << 21
+MBCONV_MIN_BLOCK = 8
+
+
+def channel_blocks(c: int, per: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of ``per`` channels over c.  A
+    one-channel tail joins the block before it: a one-row GEMM takes another
+    BLAS path, whose rounding differs from the whole product's."""
+    bounds = list(range(0, c, per)) + [c]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass
@@ -306,7 +344,15 @@ class MBConvBlock(Module):
     the input and output shapes agree.
 
     SiLU follows the expansion and depthwise stages; the projection stays
-    linear.
+    linear.  Expansion, depthwise conv, their batch norms and SiLUs all act
+    on each hidden channel alone, so a forward that is neither recorded nor
+    in training mode runs them one block of hidden channels at a time
+    (``MBCONV_BLOCK_BYTES`` of expanded activation, at least
+    ``MBCONV_MIN_BLOCK`` channels), as in Sandler et al. 2018 (MobileNetV2,
+    arXiv:1801.04381, Sec. 5.1, "Memory efficient inference").  The 6x
+    expanded activation never exists whole: beyond the input and the
+    depthwise output, that stage holds one block's expansion, depthwise
+    output and scratch.  The output bytes equal the whole-tensor path's.
     """
 
     bn_pairs = (("dw", "dw_bn"), ("project", "project_bn"))
@@ -329,8 +375,12 @@ class MBConvBlock(Module):
                                          dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
-        out = self.expand(x, training=training)
-        out = T.silu_(self.dw_bn(self.dw(out), training=training))
+        if training or complexity.tape_active() or T._records(
+                x, *(p.value for p in self.parameters())):
+            out = self.expand(x, training=training)
+            out = T.silu_(self.dw_bn(self.dw(out), training=training))
+        else:
+            out = self.expanded_depthwise(x)
         out = self.attn(out, training=training)
         out = self.project_bn(self.project(out), training=training)
         out = T.dropout(out, MBCONV_DROPOUT, training=training,
@@ -338,6 +388,21 @@ class MBConvBlock(Module):
         if self.cfg.has_residual:
             out = T.add(out, x)
         return out
+
+    def expanded_depthwise(self, x: Tensor4) -> Tensor4:
+        """expand -> depthwise -> batch norm -> SiLU in inference mode,
+        unrecorded, one block of hidden channels at a time, each written to
+        its rows of the depthwise output."""
+        n, _, h, w = x.shape
+        itemsize = np.result_type(x.data, self.dw.weight.value.data).itemsize
+        per = max(MBCONV_MIN_BLOCK, MBCONV_BLOCK_BYTES // (n * h * w * itemsize))
+        out = None
+        for lo, hi in channel_blocks(self.cfg.hidden, per):
+            block = self.dw_bn.rows(self.dw.rows(self.expand.rows(x, lo, hi), lo, hi), lo, hi)
+            if out is None:
+                out = np.empty((n, self.cfg.hidden) + block.shape[2:], dtype=block.dtype)
+            out[:, lo:hi] = T.silu_(block).data
+        return Tensor4(out)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .blocks import (
     Module,
     fold_bn,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import Box, Detection
 from .tensor import Tensor4
 
@@ -177,6 +177,10 @@ class Detector(Module):
         self.dtype = dtype
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> list[Tensor4]:
+        deepest = max(self.cfg.strides)
+        if x.shape[2] % deepest or x.shape[3] % deepest:
+            raise ShapeError(f"{self.name}: input {x.shape[2]}x{x.shape[3]} is not a multiple "
+                             f"of the deepest stride {deepest} on each side")
         kw = dict(training=training, seed=seed)
         c3 = self.b1(self.b0(self.a0(self.stem(x, **kw), **kw), **kw), **kw)
         c4 = self.bs_c(self.down_c(c3, **kw), **kw)
@@ -618,12 +622,18 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
 
     The heads come from ``model.fused()``, folded once per call and run
     without a tape, so the detections differ from decoding ``model(x)``
-    only by the rounding of the fold."""
+    only by the rounding of the fold.  Images already in the model's dtype
+    are read in place, not copied.  Without a tape each MBConv block
+    expands about ``MBCONV_BLOCK_BYTES`` of hidden channels at a time
+    (Sandler et al. 2018, arXiv:1801.04381, Sec. 5.1): a forward holds one
+    block of a 6x expanded activation, never the whole of one."""
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     fused = model.fused()
     dets: list[list[Detection]] = []
     with T.no_grad():
         for lo in range(0, images.shape[0], batch):
-            x = Tensor4(images[lo:lo + batch].astype(model.dtype))
+            x = Tensor4(images[lo:lo + batch].astype(model.dtype, copy=False))
             outs = fused(x, training=False)
             dets.extend(decode(outs, model.cfg, score_thresh, nms_iou))
     # re-stamp image ids to dataset indices

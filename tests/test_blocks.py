@@ -1,5 +1,7 @@
 """Block contracts: shapes, degeneracies, permutation structure, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -112,6 +114,95 @@ class TestMBConv:
     def test_gradient(self):
         block = B.MBConvBlock("mb", B.MBConvConfig(4, 4), rng=np.random.default_rng(9))
         fd_block(block, rand_input((1, 4, 6, 6), seed=9))
+
+
+class TestBlockedMBConv:
+    """An unrecorded inference-mode MBConv runs expand -> depthwise one block
+    of hidden channels at a time, with the recorded whole-tensor path's bytes."""
+
+    @staticmethod
+    def block(cfg, dtype, fused):
+        blk = B.MBConvBlock("m", cfg, rng=np.random.default_rng(3), dtype=dtype)
+        rng = np.random.default_rng(4)
+        for m in blk.sublayers():
+            if isinstance(m, B.BatchNormLayer):
+                m.gamma.value.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
+                m.beta.value.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
+                m.stats.mean = rng.normal(0.0, 0.5, m.c)
+                m.stats.var = rng.uniform(0.3, 2.0, m.c)
+        return B.fold_bn(blk) if fused else blk
+
+    @staticmethod
+    def spy_blocks(monkeypatch) -> list:
+        seen = []
+        real = B.channel_blocks
+        monkeypatch.setattr(B, "channel_blocks", lambda c, per: seen.append(real(c, per)) or seen[-1])
+        return seen
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", [B.MBConvConfig(16, 16), B.MBConvConfig(16, 24, stride=2)],
+                             ids=["stride1_residual", "stride2"])
+    def test_unrecorded_equals_recorded(self, cfg, dtype, fused, monkeypatch):
+        blk = self.block(cfg, dtype, fused)
+        x = Tensor4(np.random.default_rng(5).standard_normal((1, 16, 16, 16)).astype(dtype))
+        # blocks of 19 of the 96 hidden channels: five would leave a one-channel
+        # tail, whose one-row GEMM rounds differently, so it joins the fourth
+        monkeypatch.setattr(B, "MBCONV_BLOCK_BYTES", 19 * 16 * 16 * np.dtype(dtype).itemsize)
+        seen = self.spy_blocks(monkeypatch)
+        taped = blk(x)
+        assert taped.op is not None and seen == []
+        with T.no_grad():
+            fast = blk(x)
+        assert fast.op is None
+        assert seen == [[(0, 19), (19, 38), (38, 57), (57, 76), (76, 96)]]
+        assert fast.dtype == taped.dtype and fast.data.tobytes() == taped.data.tobytes()
+
+    def test_training_and_cost_tape_take_the_whole_path(self, monkeypatch):
+        blk = self.block(B.MBConvConfig(4, 4), np.float64, fused=False)
+        x = rand_input((2, 4, 8, 8), seed=6)
+        seen = self.spy_blocks(monkeypatch)
+        with T.no_grad():
+            blk(x, training=True)
+            with C.tracking() as tape:
+                blk(x)
+        assert seen == []
+        assert {"m.expand.conv", "m.dw", "m.dw_bn"} <= {name for name, _, _ in tape.report().rows}
+
+    @given(st.integers(1, 400), st.integers(2, 64))
+    def test_channel_blocks_tile_without_one_channel_tail(self, c, per):
+        blocks = B.channel_blocks(c, per)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == c
+        assert all(2 <= hi - lo <= per + 1 for lo, hi in blocks) or blocks == [(0, 1)]
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_expanded_activation_never_exists_whole(self, fused):
+        """Beyond its output, the blocked stage holds about one block: its
+        expansion, the batch norm's copy of it and a depthwise block.  CBAM
+        then holds three arrays of the depthwise output's size, 3/4 of the
+        expanded activation at stride 2, so the whole block's peak beyond its
+        output stays below that activation, which the whole-tensor path
+        holds with the depthwise output on top."""
+        cfg = B.MBConvConfig(16, 16, stride=2)
+        blk = self.block(cfg, np.float32, fused)
+        x = Tensor4(np.random.default_rng(7).standard_normal((1, 16, 192, 192)).astype(np.float32))
+        channel = 192 * 192 * 4
+        expanded = cfg.hidden * channel
+        block_bytes = max(B.MBCONV_MIN_BLOCK, B.MBCONV_BLOCK_BYTES // channel) * channel
+        assert expanded >= 2 * 3 * block_bytes
+        peaks = []
+        with T.no_grad():
+            for run in (blk.expanded_depthwise, blk):
+                tracemalloc.start()
+                try:
+                    out = run(x)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - out.data.nbytes)
+                finally:
+                    tracemalloc.stop()
+                del out
+        assert peaks[0] <= 3 * block_bytes
+        assert peaks[1] < expanded
 
 
 class TestPartialConv:

@@ -588,6 +588,32 @@ class TestModelBuild:
             D.train_step(model, D.AdamW(model.parameters()), images, [[]], 0, 10, 1,
                          D.TrainConfig(epochs=10), D.LossWeights())
 
+    @pytest.mark.parametrize("size", [(97, 97), (96, 80), (64, 97)])
+    def test_entry_points_check_input_size(self, size):
+        model = D.Detector(D.ModelConfig(), init_seed=1, dtype=np.float32)
+        images = np.zeros((1, 1) + size, dtype=np.float32)
+        want = f"^model: input {size[0]}x{size[1]} is not a multiple of the deepest stride 32"
+        with pytest.raises(ShapeError, match=want):
+            D.predict(model, images)
+        with pytest.raises(ShapeError, match=want):
+            D.train_step(model, D.AdamW(model.parameters()), images, [[]], 0, 10, 1,
+                         D.TrainConfig(epochs=10), D.LossWeights())
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_predict_rejects_batch_below_one(self, batch):
+        model = D.Detector(micro_config(), init_seed=1, dtype=np.float32)
+        with pytest.raises(ConfigError, match=f"^batch must be >= 1, got {batch}"):
+            D.predict(model, np.zeros((2, 1, 32, 32), dtype=np.float32), batch=batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_predict_leaves_images_untouched(self, dtype):
+        model = D.Detector(micro_config(), init_seed=1, dtype=np.float32)
+        images = np.random.default_rng(12).random((3, 1, 32, 32)).astype(dtype)
+        before = images.tobytes()
+        dets = D.predict(model, images, score_thresh=0.3, batch=2)
+        assert images.dtype == dtype and images.tobytes() == before
+        assert dets == D.predict(model, images.astype(np.float32), score_thresh=0.3, batch=2)
+
 
 def randomize_bn(model, seed):
     """Batch norms that are far from the identity: random gammas, betas and
