@@ -479,19 +479,30 @@ def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
     """Greedy NMS over one image's detections of one class: in stable
     descending-score order, keep each box whose IoU with every kept box is
     below ``nms_iou``."""
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-    boxes = np.array([(b.x1, b.y1, b.x2, b.y2) for b in (dets[i].box for i in order)],
-                     dtype=np.float64).reshape(-1, 4)
-    kept = np.zeros(len(order), dtype=bool)
-    for lo in range(0, len(order), NMS_BLOCK):
-        hi = min(lo + NMS_BLOCK, len(order))
+    # bench/spans.py wraps this function by name and parameter list
+    # a stable argsort of the negated scores: ties keep their input order
+    order = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
+    boxes = np.array([(b.x1, b.y1, b.x2, b.y2) for b in (d.box for d in dets)],
+                     dtype=np.float64).reshape(-1, 4)[order]
+    keep: list[int] = []
+    for lo in range(0, len(dets), NMS_BLOCK):
+        hi = min(lo + NMS_BLOCK, len(dets))
         clash = metrics.iou_matrix(boxes[lo:hi], boxes[:hi]) >= nms_iou
-        alive = ~(clash[:, :lo] & kept[:lo]).any(axis=1)
-        for i in range(lo, hi):
-            if alive[i - lo]:
-                kept[i] = True
-                alive[i - lo + 1:] &= ~clash[i - lo, i + 1:hi]
-    return [dets[order[i]] for i in np.flatnonzero(kept)]
+        # bit i of ``dead`` marks row lo + i suppressed; a kept row ORs in its
+        # whole clash row at once, so suppression stays bit-parallel
+        dead = 0
+        if keep:
+            earlier = np.packbits(clash[:, keep].any(axis=1), bitorder="little")
+            dead = int.from_bytes(earlier.tobytes(), "little")
+        rows = np.packbits(clash[:, lo:hi], axis=1, bitorder="little")
+        width = rows.shape[1]
+        flat = rows.tobytes()
+        for i in range(hi - lo):
+            if not dead >> i & 1:
+                keep.append(lo + i)
+                dead |= int.from_bytes(flat[i * width:(i + 1) * width], "little")
+    order = order.tolist()
+    return [dets[order[k]] for k in keep]
 
 
 def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,

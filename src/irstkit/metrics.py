@@ -3,17 +3,27 @@ and contrast-based AP (NoCo).
 
 All operations are pure functions with deterministic, order-fixed
 aggregation.  Boxes are axis-aligned with corner and center-size views.
+
+Exactness rule: each metric equals its straightforward reference (full-frame
+boolean masks, ``np.mean``/``np.std``, all-pairs loops, numpy PR arrays) bit
+for bit, while skipping the per-call overhead.  Pixel picks are 1-D arrays in
+the row-major order a boolean mask gives; a mean is ``np.add.reduce(v) / n``
+and a standard deviation the same two-pass variance ``np.std`` runs; AP adds
+its recall steps in rank order in Python floats, which round as numpy's
+float64 scalars do.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +41,11 @@ class Box:
     y2: float
 
     def __post_init__(self):
+        # a non-finite corner makes the sum NaN or infinite; only finite
+        # corners whose sum overflows need the per-corner test
+        if (not math.isfinite(self.x1 + self.y1 + self.x2 + self.y2)
+                and not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2)))):
+            raise NumericError(f"non-finite box ({self.x1},{self.y1},{self.x2},{self.y2})")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ShapeError(f"inverted box ({self.x1},{self.y1},{self.x2},{self.y2})")
 
@@ -86,6 +101,7 @@ class GTBox:
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union; 0 for disjoint boxes and for two zero-area boxes."""
+    # bench/spans.py wraps this function by name and parameter list
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
     iy = min(a.y2, b.y2) - max(a.y1, b.y1)
     inter = max(ix, 0.0) * max(iy, 0.0)
@@ -137,20 +153,15 @@ class PRCurve:
 
 def _score_order(scores) -> list[int]:
     # stable sort by descending score keeps tie order deterministic
-    return sorted(range(len(scores)), key=lambda i: -scores[i])
-
-
-def _pr_points(ranked: list[bool], n_gt: int) -> tuple[np.ndarray, np.ndarray]:
-    """(recalls, precisions) after each of the true-positive flags
-    ``ranked``, from their cumulative true-positive count."""
-    tps = np.cumsum(np.asarray(ranked, dtype=bool))
-    return tps / n_gt, tps / np.arange(1, tps.size + 1)
+    neg = [-s for s in scores]
+    return sorted(range(len(neg)), key=neg.__getitem__)
 
 
 def pr_curve(ranked: list[bool], n_gt: int) -> PRCurve:
     """(recall, precision) after each of the true-positive flags ``ranked``,
     which are in descending score order (stable for ties)."""
-    recalls, precisions = _pr_points(ranked, n_gt)
+    tps = np.cumsum(np.asarray(ranked, dtype=bool))
+    recalls, precisions = tps / n_gt, tps / np.arange(1, tps.size + 1)
     return PRCurve(points=list(zip(recalls.tolist(), precisions.tolist())))
 
 
@@ -168,32 +179,46 @@ def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
 def _ranked_ap(labels: list[bool], n_gt: int) -> float:
     """``average_precision`` of true-positive flags already in descending
     score order (stable for ties); n_gt >= 1, and 0 without any flag."""
-    recalls, precisions = _pr_points(labels, n_gt)
-    # envelope: non-increasing from the right
-    env = np.maximum.accumulate(precisions[::-1])[::-1]
+    return _hit_ranks_ap(list(compress(count(), labels)), n_gt)
+
+
+def _hit_ranks_ap(ranks: list[int], n_gt: int) -> float:
+    """``_ranked_ap`` from the 0-based ranks of the true positives alone.
+
+    Recall rises only at a hit, and the precision envelope there is the
+    best precision at that hit or any later one: a miss after hit ``t``
+    has precision t / rank below the hit's own."""
+    env = [tp / (rank + 1) for tp, rank in enumerate(ranks, start=1)]
+    for k in range(len(env) - 2, -1, -1):  # non-increasing from the right
+        if env[k] < env[k + 1]:
+            env[k] = env[k + 1]
     ap = 0.0
     prev_r = 0.0
-    for r, p in zip(recalls, env):
+    for tp, p in enumerate(env, start=1):
+        r = tp / n_gt
         if r > prev_r:
             ap += (r - prev_r) * p
             prev_r = r
-    return float(ap)
+    return ap
 
 
 def match_detections(dets: list[Detection], gts: list[GTBox],
-                     iou_thresh: float = 0.5) -> tuple[list[tuple[float, bool]], int]:
+                     iou_thresh: float = 0.5,
+                     order: list[int] | None = None) -> tuple[list[tuple[float, bool]], int]:
     """Greedy one-to-one matching by descending score within (image, class).
 
     A detection is a true positive when its best unmatched same-class
     ground truth in the same image exceeds the IoU threshold; each ground
     truth matches at most one detection.  Returns (score, tp) pairs aligned
-    with the detections plus the matched count.
+    with the detections plus the matched count.  ``order``, when given, is
+    the detections' ``_score_order``.
     """
     by_key: dict[tuple, list[int]] = {}
     for j, gt in enumerate(gts):
         by_key.setdefault((gt.image_id, gt.class_id), []).append(j)
     matched: set[int] = set()
-    order = _score_order([d.score for d in dets])
+    if order is None:
+        order = _score_order([d.score for d in dets])
     labels: list[tuple[float, bool]] = [None] * len(dets)  # type: ignore[list-item]
     n_matched = 0
     for i in order:
@@ -237,8 +262,9 @@ def _mean_class_ap(dets: list[Detection], labels: list[tuple[float, bool]],
 
 def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> float:
     """Mean AP over the classes present in the ground truth (IoU > 0.5 match)."""
-    labels, _ = match_detections(dets, gts, iou_thresh)
-    return _mean_class_ap(dets, labels, gts, _score_order([d.score for d in dets]))
+    order = _score_order([d.score for d in dets])
+    labels, _ = match_detections(dets, gts, iou_thresh, order=order)
+    return _mean_class_ap(dets, labels, gts, order)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +286,16 @@ def _region_bounds(shape: tuple[int, int], box: Box) -> tuple[tuple, tuple]:
     the target dilated by the box's own larger dimension on each side; both
     are clipped to the frame."""
     h, w = shape
-    ix1 = max(int(np.floor(box.x1)), 0)
-    iy1 = max(int(np.floor(box.y1)), 0)
-    ix2 = min(int(np.ceil(box.x2)), w)
-    iy2 = min(int(np.ceil(box.y2)), h)
+    try:
+        ix1 = max(math.floor(box.x1), 0)
+        iy1 = max(math.floor(box.y1), 0)
+        ix2 = min(math.ceil(box.x2), w)
+        iy2 = min(math.ceil(box.y2), h)
+        d = math.ceil(max(box.w, box.h))
+    except (OverflowError, ValueError):  # an infinite or NaN corner or extent
+        raise NumericError(f"non-finite box {box}") from None
     if ix2 <= ix1 or iy2 <= iy1:
         raise DataError(f"empty target region for box {box}")
-    d = int(np.ceil(max(box.w, box.h)))
     window = (max(ix1 - d, 0), max(iy1 - d, 0), min(ix2 + d, w), min(iy2 + d, h))
     return (ix1, iy1, ix2, iy2), window
 
@@ -278,18 +307,24 @@ class _EmptyAnnulus(DataError):
 def build_contrast_region(image: np.ndarray, box: Box) -> ContrastRegion:
     """Discretize a box onto the pixel grid; the background annulus is the
     box dilated by its own larger dimension on each side, minus the target."""
+    # bench/spans.py wraps this function by name and parameter list
     (ix1, iy1, ix2, iy2), window = _region_bounds(image.shape, box)
     if window == (ix1, iy1, ix2, iy2):
         raise _EmptyAnnulus(f"empty background annulus for box {box}")
     ox1, oy1, ox2, oy2 = window
 
-    # the annulus never leaves the window; boolean picks come in row-major order
-    crop = image[oy1:oy2, ox1:ox2]
-    tmask = np.zeros(crop.shape, dtype=bool)
-    tmask[iy1 - oy1:iy2 - oy1, ix1 - ox1:ix2 - ox1] = True
-    tvals = crop[tmask]
-    bvals = crop[~tmask]
-    return ContrastRegion(float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
+    # both picks in the row-major order of a boolean mask over the window:
+    # the annulus is the rows above the target, each target row's left and
+    # right parts, then the rows below
+    tvals = image[iy1:iy2, ix1:ix2].ravel()
+    sides = np.concatenate((image[iy1:iy2, ox1:ix1], image[iy1:iy2, ix2:ox2]), axis=1)
+    bvals = np.concatenate((image[oy1:iy1, ox1:ox2], sides, image[iy2:oy2, ox1:ox2]), axis=None)
+    # np.mean and np.std's own arithmetic, without their wrappers
+    mu_b = np.add.reduce(bvals) / bvals.size
+    dev = bvals - mu_b
+    np.multiply(dev, dev, out=dev)
+    return ContrastRegion(float(np.add.reduce(tvals) / tvals.size), float(mu_b),
+                          math.sqrt(np.add.reduce(dev) / dev.size))
 
 
 def noco(region: ContrastRegion) -> float:
@@ -301,8 +336,9 @@ def noco(region: ContrastRegion) -> float:
 DEFAULT_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
-def mnocoap(dets: list[Detection], gts: list[GTBox],
-            images: dict, deltas=DEFAULT_DELTAS) -> tuple[float, dict[float, float]]:
+def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict,
+            deltas=DEFAULT_DELTAS,
+            order: list[int] | None = None) -> tuple[float, dict[float, float]]:
     """Contrast-thresholded AP averaged over the delta sweep.
 
     For each threshold, a detection is a true positive when (a) its
@@ -312,6 +348,7 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
     Matching is greedy in descending score; the result is the mean of the
     per-threshold APs.  A detection whose window leaves no background pixel
     (a box covering the frame) has no local contrast and scores 0.
+    ``order``, when given, is the detections' ``_score_order``.
     """
     if not gts:
         raise DataError("mNoCoAP undefined: no ground truth")
@@ -319,52 +356,51 @@ def mnocoap(dets: list[Detection], gts: list[GTBox],
         if g.image_id not in images:
             raise DataError(f"missing image {g.image_id!r} for ground truth")
 
-    gt_noco = []
+    denoms = []  # each truth's contrast, guarded away from 0
     by_image: dict = {}
     for j, g in enumerate(gts):
-        img = images[g.image_id]
-        gt_noco.append(noco(build_contrast_region(img, g.box)))
+        v = noco(build_contrast_region(images[g.image_id], g.box))
+        denoms.append(v if abs(v) > 1e-6 else 1e-6)
         by_image.setdefault(g.image_id, []).append(j)
 
-    # candidates per detection: (gt index, normalized contrast score)
-    candidates: list[list[tuple[int, float]]] = []
-    for det in dets:
+    # candidates of the detections that have any: (gt index, normalized
+    # contrast score), best first
+    candidates: dict[int, list[tuple[int, float]]] = {}
+    for i, det in enumerate(dets):
         if det.image_id not in images:
             raise DataError(f"missing image {det.image_id!r} for detection")
-        img = images[det.image_id]
-        cands = []
-        det_noco = None
-        for j in by_image.get(det.image_id, ()):
-            if not gts[j].box.contains(det.box.cx, det.box.cy):
-                continue
-            if det_noco is None:
-                try:
-                    det_noco = noco(build_contrast_region(img, det.box))
-                except _EmptyAnnulus:
-                    det_noco = 0.0
-            denom = gt_noco[j] if abs(gt_noco[j]) > 1e-6 else 1e-6
-            score = float(np.clip(det_noco / denom, 0.0, 1.0))
-            cands.append((j, score))
+        box = det.box
+        cx, cy = box.cx, box.cy
+        inside = [j for j in by_image.get(det.image_id, ()) if gts[j].box.contains(cx, cy)]
+        if not inside:
+            continue
+        try:
+            det_noco = noco(build_contrast_region(images[det.image_id], box))
+        except _EmptyAnnulus:
+            det_noco = 0.0
+        cands = [(j, min(max(det_noco / denoms[j], 0.0), 1.0)) for j in inside]
         cands.sort(key=lambda t: (-t[1], t[0]))
-        candidates.append(cands)
+        candidates[i] = cands
 
-    # stable descending-score order, as average_precision would sort the hits
-    order = _score_order([d.score for d in dets])
+    # stable descending-score order, as average_precision would sort the
+    # hits; a detection without a candidate is never a hit, so each pass
+    # visits only the others, at their rank in the full order
+    if order is None:
+        order = _score_order([d.score for d in dets])
+    ranked = [(rank, candidates[i]) for rank, i in enumerate(order) if i in candidates]
     per_delta: dict[float, float] = {}
     for delta in deltas:
         matched: set[int] = set()
         hits = []
-        for i in order:
-            hit = False
-            for j, nscore in candidates[i]:
+        for rank, cands in ranked:
+            for j, nscore in cands:
                 if j in matched:
                     continue
                 if nscore >= delta:
                     matched.add(j)
-                    hit = True
+                    hits.append(rank)
                 break  # only the best unmatched candidate is considered
-            hits.append(hit)
-        per_delta[delta] = _ranked_ap(hits, len(gts))
+        per_delta[delta] = _hit_ranks_ap(hits, len(gts))
     value = float(np.mean(list(per_delta.values())))
     return value, per_delta
 
@@ -417,15 +453,16 @@ def evaluate_detections(dets: list[Detection], gts: list[GTBox],
                         images: dict | None = None,
                         iou_thresh: float = 0.5) -> MetricReport:
     """Full metric bundle at the detections' operating point."""
-    labels, n_matched = match_detections(dets, gts, iou_thresh)
-    order = _score_order([d.score for d in dets])  # one order for every class's AP and the curve
+    # one score order for matching, every class's AP, the curve and mNoCoAP
+    order = _score_order([d.score for d in dets])
+    labels, n_matched = match_detections(dets, gts, iou_thresh, order=order)
     counts = ConfusionCounts(tp=n_matched, fp=len(dets) - n_matched,
                              fn=len(gts) - n_matched)
     p, r, f1 = prf1(counts)
     m = _mean_class_ap(dets, labels, gts, order)
     curve = pr_curve([labels[i][1] for i in order], max(len(gts), 1))
     if images is not None:
-        value, per_delta = mnocoap(dets, gts, images)
+        value, per_delta = mnocoap(dets, gts, images, order=order)
     else:
         value, per_delta = None, None
     return MetricReport(precision=p, recall=r, f1=f1, map50=m,

@@ -364,6 +364,15 @@ class TestDecode:
         assert (d.box.x1, d.box.y1, d.box.x2, d.box.y2) == pytest.approx((44, 20, 60, 36), abs=1e-6)
         assert d.score == pytest.approx(1.0 / (1.0 + math.exp(-8.0)))
 
+    def test_nan_regression_logit_raises_numeric_error(self):
+        cfg = D.ModelConfig()
+        outs = [np.full((1, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)), -40.0)
+                for s in range(3)]
+        outs[0][0, 0, 3, 6] = 8.0  # one candidate cell ...
+        outs[0][0, cfg.num_classes + 2, 3, 6] = np.nan  # ... with one NaN bin logit
+        with pytest.raises(NumericError, match="non-finite box"):
+            D.decode(outs, cfg)
+
     def test_nms_keeps_higher_score(self):
         a = Detection(0, 0.9, Box(0, 0, 10, 10))
         b = Detection(0, 0.8, Box(0, 0, 10, 10))

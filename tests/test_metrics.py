@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from irstkit import metrics as M
-from irstkit.errors import DataError
+from irstkit.errors import DataError, NumericError, ShapeError
 from irstkit.metrics import Box, Detection, GTBox
 
 
@@ -156,6 +156,34 @@ class TestContrastRegion:
         # the sample reaches both error paths
         assert errors["target"] > 0 and errors["annulus"] > 0
 
+    @pytest.mark.parametrize("view", ["transposed", "every_other_column"])
+    def test_matches_reference_on_strided_frames(self, view):
+        rng = np.random.default_rng(12)
+        frame = rng.normal(10.0, 2.0, (64, 96))
+        image = frame.T if view == "transposed" else frame[:, ::2]
+        assert not image.flags.c_contiguous
+        for _ in range(1000):
+            box = random_box(rng, *image.shape)
+            got = outcome(M.build_contrast_region, image, box)
+            want = outcome(region_reference, image, box)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert (got.mu_t, got.mu_b, got.sigma_b) == (want.mu_t, want.mu_b, want.sigma_b)
+
+    def test_infinite_extent_raises_numeric_error(self):
+        # finite corners whose width overflows to inf
+        box = Box(-1e308, 2.0, 1e308, 6.0)
+        with pytest.raises(NumericError, match="non-finite box"):
+            M.build_contrast_region(np.zeros((20, 20)), box)
+
+    def test_nan_corner_raises_numeric_error(self):
+        # Box rejects NaN corners itself; build one past that check
+        box = Box(1.0, 2.0, 5.0, 6.0)
+        object.__setattr__(box, "x1", float("nan"))
+        with pytest.raises(NumericError, match="non-finite box"):
+            M.build_contrast_region(np.zeros((20, 20)), box)
+
     def test_empty_target_raises(self):
         with pytest.raises(DataError, match="empty target region"):
             M.build_contrast_region(np.zeros((20, 20)), Box(25.0, 3.0, 30.0, 8.0))
@@ -163,6 +191,28 @@ class TestContrastRegion:
     def test_frame_covering_box_has_empty_annulus(self):
         with pytest.raises(DataError, match="empty background annulus"):
             M.build_contrast_region(np.zeros((20, 20)), Box(-1.0, 0.0, 20.0, 20.5))
+
+
+class TestBox:
+    @pytest.mark.parametrize("corners", [
+        (float("nan"), 0.0, 5.0, 5.0),
+        (0.0, 0.0, 5.0, float("nan")),
+        (0.0, 0.0, float("inf"), 5.0),
+        (float("-inf"), 0.0, 5.0, 5.0),
+        (float("inf"), 0.0, float("inf"), 5.0),
+        (float("nan"), 0.0, 1.0, -1.0),  # NaN wins over the inversion
+    ])
+    def test_non_finite_corner_raises_numeric_error(self, corners):
+        with pytest.raises(NumericError, match="non-finite box"):
+            Box(*corners)
+
+    def test_inverted_raises_shape_error(self):
+        with pytest.raises(ShapeError, match="inverted box"):
+            Box(5.0, 0.0, 1.0, 5.0)
+
+    def test_finite_corners_with_overflowing_sum_accepted(self):
+        box = Box(1e308, 1e308, 1.5e308, 1.5e308)
+        assert box.x2 == 1.5e308
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +383,76 @@ class TestMNoCoAP:
             M.mnocoap([Detection(0, 0.9, Box(40, 40, 56, 56))], gts, {0: np.ones((96, 96))})
 
 
+def tied_eval_set(seed):
+    """Five 64 px frames, two classes, every score quantized to 0.1: most
+    detections tie with another, and duplicates of one truth often tie."""
+    rng = np.random.default_rng(seed)
+    images, gts, dets = {}, [], []
+    for image_id in range(5):
+        img = rng.normal(1.0, 0.2, (64, 64))
+        for _ in range(3):
+            cx, cy = rng.uniform(12.0, 52.0, 2)
+            side = rng.uniform(3.0, 8.0)
+            box = Box.from_center(cx, cy, side, side)
+            img[int(box.y1):int(np.ceil(box.y2)), int(box.x1):int(np.ceil(box.x2))] += 1.5
+            cls = int(rng.integers(0, 2))
+            gts.append(GTBox(image_id, cls, box))
+            for _ in range(4):
+                jitter = box.shifted(*rng.normal(0.0, 1.0, 2))
+                dets.append(Detection(cls, round(float(rng.uniform(0.05, 1.0)), 1),
+                                      Box.from_center(jitter.cx, jitter.cy, side, side),
+                                      image_id))
+        for _ in range(4):
+            cx, cy = rng.uniform(8.0, 56.0, 2)
+            dets.append(Detection(int(rng.integers(0, 2)), round(float(rng.uniform(0.05, 1.0)), 1),
+                                  Box.from_center(cx, cy, 5.0, 5.0), image_id))
+        images[image_id] = img
+    order = rng.permutation(len(dets))  # interleave the images
+    return [dets[i] for i in order], gts, images
+
+
+class TestEvaluateWithTies:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_report_equals_references(self, seed):
+        dets, gts, images = tied_eval_set(seed)
+        scores = [d.score for d in dets]
+        assert len(set(scores)) <= 10 < len(scores)
+        report = M.evaluate_detections(dets, gts, images)
+
+        labels, n_matched = match_reference(dets, gts)
+        assert (report.counts.tp, report.counts.fp, report.counts.fn) == (
+            n_matched, len(dets) - n_matched, len(gts) - n_matched)
+        aps = []
+        for cls in sorted({g.class_id for g in gts}):
+            cls_gts = [g for g in gts if g.class_id == cls]
+            cls_labels, _ = match_reference([d for d in dets if d.class_id == cls], cls_gts)
+            aps.append(M.average_precision(cls_labels, len(cls_gts)))
+        assert report.map50 == float(np.mean(aps))
+
+        # the curve in the reference's stable order: input order on ties
+        ref_order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+        points, tp = [], 0
+        for rank, i in enumerate(ref_order, start=1):
+            tp += labels[i][1]
+            points.append((tp / len(gts), tp / rank))
+        assert report.curve.points == points
+
+        value, per_delta = mnocoap_reference(dets, gts, images)
+        assert (report.mnocoap, report.per_delta) == (value, per_delta)
+        assert 0.0 < value < 1.0
+
+    def test_tie_keeps_input_order(self):
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10))]
+        img = np.ones((40, 40))
+        img[0:10, 0:10] = 3.0
+        miss = Detection(0, 0.5, Box(25, 25, 35, 35))
+        hit = Detection(0, 0.5, Box(0, 0, 10, 10))
+        report = M.evaluate_detections([miss, hit], gts, {0: img})
+        # the miss ranks first, so the hit lands at precision 1/2
+        assert report.curve.points == [(0.0, 0.0), (1.0, 0.5)]
+        assert report.map50 == 0.5 and report.mnocoap == 0.5
+
+
 # ---------------------------------------------------------------------------
 # Average precision
 # ---------------------------------------------------------------------------
@@ -362,3 +482,16 @@ class TestAveragePrecision:
         n_gt = max(1, sum(hit for _, hit in scored) + missed)
         assert M.average_precision(scored, n_gt) == pytest.approx(
             float(ap_reference(scored, n_gt)), rel=1e-12, abs=1e-15)
+
+    @given(st.lists(st.booleans(), max_size=200), st.integers(0, 5))
+    def test_ranked_ap_equals_numpy_envelope_bit_for_bit(self, labels, missed):
+        n_gt = max(1, sum(labels) + missed)
+        tps = np.cumsum(np.asarray(labels, dtype=bool))
+        recalls, precisions = tps / n_gt, tps / np.arange(1, tps.size + 1)
+        env = np.maximum.accumulate(precisions[::-1])[::-1]
+        want, prev = 0.0, 0.0
+        for r, p in zip(recalls, env):
+            if r > prev:
+                want += (r - prev) * p
+                prev = r
+        assert M._ranked_ap(labels, n_gt) == float(want)
