@@ -7,18 +7,22 @@ kernel convolution with learned sampling offsets (VKConv) used inside the
 attention-gated fusion stem (AVCStem).
 
 Blocks hold immutable configuration and parameters during forward; a
-parameter checkpoint is an ordered list of named tensors in the snapshot
-format plus a text manifest.
+checkpoint is one uncompressed ``.npz`` file holding each named state array
+at its own dtype, so a save/load round trip is exact.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
+import tokenize
+import zipfile
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import format as npformat
 
 from . import complexity
 from . import tensor as T
@@ -87,13 +91,17 @@ class Module:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Check every name and shape against :meth:`state_arrays`, then copy
+        the arrays into this module at the dtypes it holds."""
+        for name, like in self.state_arrays():
+            if name not in arrays:
+                raise DataError(f"checkpoint has no tensor {name!r}")
+            if arrays[name].shape != like.shape:
+                raise ShapeError(f"{name}: checkpoint shape {arrays[name].shape} "
+                                 f"!= model shape {like.shape}")
         for m in self.sublayers():
             for p in m._own(ParamTensor):
-                src = arrays[p.value.name]
-                if src.shape != p.value.data.shape:
-                    raise ShapeError(f"{p.value.name}: checkpoint shape {src.shape} "
-                                     f"!= model shape {p.value.data.shape}")
-                p.value.data = src.astype(p.value.data.dtype)
+                p.value.data = arrays[p.value.name].astype(p.value.data.dtype)
             for stats in m._own(RunningStats):
                 stats.mean = arrays[f"{m.name}.running_mean"].reshape(-1).astype(np.float64)
                 stats.var = arrays[f"{m.name}.running_var"].reshape(-1).astype(np.float64)
@@ -618,37 +626,55 @@ class AVCStem(Module):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint files: snapshot records + text manifest
+# Checkpoint files: one uncompressed .npz, one NPY member per state array
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(module: Module, path_prefix) -> None:
-    """Write ``{prefix}.bin`` (snapshot records) and ``{prefix}.manifest``."""
-    entries = module.state_arrays()
-    offset = 0
-    lines = []
-    with open(f"{path_prefix}.bin", "wb") as fh:
-        for name, arr in entries:
-            size = T.write_snapshot(fh, arr)
-            n, c, h, w = arr.shape
-            lines.append(f"{name} {n} {c} {h} {w} {offset}")
-            offset += size
-    with open(f"{path_prefix}.manifest", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def save_checkpoint(module: Module, path) -> None:
+    """Write ``module.state_arrays()`` to the ``.npz`` file ``path``."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **dict(module.state_arrays()))
 
 
-def load_checkpoint(module: Module, path_prefix) -> None:
+_NPY_HEADER_READERS = {(1, 0): npformat.read_array_header_1_0,
+                       (2, 0): npformat.read_array_header_2_0}
+
+
+def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
+    """One stored NPY float array whose header accounts for exactly the
+    member's bytes, which must fit in the file; checked before the payload
+    is read, and any failure is a ValueError."""
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError("compressed member")
+    with zf.open(info) as fh:
+        read_header = _NPY_HEADER_READERS.get(npformat.read_magic(fh))
+        if read_header is None:
+            raise ValueError("unsupported NPY version")
+        shape, fortran_order, dtype = read_header(fh)
+        size = dtype.itemsize * math.prod(shape)  # Python ints, which do not overflow
+        left = info.file_size - fh.tell()
+        if dtype.kind != "f" or size != left or info.file_size > file_size:
+            raise ValueError(f"want a float array filling the member's {left} bytes; "
+                             f"header claims {dtype} {shape}, {size} bytes")
+        order = "F" if fortran_order else "C"
+        return np.frombuffer(fh.read(size), dtype).reshape(shape, order=order)
+
+
+def load_checkpoint(module: Module, path) -> None:
+    """Load a file written by :func:`save_checkpoint` into ``module``.  A
+    malformed file raises ``ParseError``, before the payload of any member
+    whose header does not match its bytes is read; a tensor that ``module``
+    needs and the file lacks raises ``DataError``."""
     arrays: dict[str, np.ndarray] = {}
-    with open(f"{path_prefix}.manifest") as fh:
-        manifest = [line.split() for line in fh if line.strip()]
-    for fields in manifest:
-        if len(fields) != 6 or not fields[5].isdigit():
-            raise ParseError(f"{path_prefix}.manifest: bad line {' '.join(fields)!r}")
-    with open(f"{path_prefix}.bin", "rb") as fh:
-        for name, *_, offset in manifest:
-            fh.seek(int(offset))
-            arrays[name] = T.read_snapshot(fh)
-    for name, _ in module.state_arrays():
-        if name not in arrays:
-            raise DataError(f"{path_prefix}.manifest has no tensor {name!r}")
+    where, file_size = path, os.path.getsize(path)
+    try:
+        with zipfile.ZipFile(path) as zf:
+            for info in zf.infolist():
+                where = f"{path}, member {info.filename}"
+                arrays[info.filename.removesuffix(".npy")] = _read_member(zf, info, file_size)
+    # a garbled file can also make zipfile raise RuntimeError, EOFError or
+    # OSError, and numpy TokenError; a missing file raises from getsize above
+    except (zipfile.BadZipFile, RuntimeError, EOFError, OSError, ValueError,
+            tokenize.TokenError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
     module.load_state(arrays)

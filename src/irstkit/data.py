@@ -125,7 +125,7 @@ class SceneSpec:
       raises ``DataError`` when it is drawn.
     - ``gradient_amplitude``: scale of the background ramp's slope across
       the frame; any finite value.
-    - ``blob_density``: expected number of clutter blobs, >= 0.
+    - ``blob_density``: expected number of clutter blobs, in [0, 9e18].
     - ``box_sigmas``: label box half-extent in target sigmas.
     - ``seed``: seed of the scene's random generator.
     """
@@ -155,8 +155,8 @@ class SceneSpec:
         if self.min_targets < 0 or self.max_targets < self.min_targets:
             raise DataError(f"bad target count range "
                             f"({self.min_targets}, {self.max_targets})")
-        if self.blob_density < 0:
-            raise DataError(f"blob_density must be >= 0, got {self.blob_density}")
+        if not 0 <= self.blob_density <= 9e18:  # Generator.poisson takes lam up to about 9.2e18
+            raise DataError(f"blob_density must lie in [0, 9e18], got {self.blob_density}")
 
 
 MAX_PLACEMENT_ATTEMPTS = 100

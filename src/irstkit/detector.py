@@ -61,10 +61,11 @@ class ModelConfig:
             raise ConfigError(f"widths must be four positive ints, got {self.widths}")
         if any(w % 2 for w in self.widths[1:]):
             raise ConfigError(f"stage widths beyond the stem must be even, got {self.widths}")
-        if self.input_size % 32:
-            raise ConfigError(f"input_size must be divisible by 32, got {self.input_size}")
-        if self.reg_bins < 2:
-            raise ConfigError(f"reg_bins must be >= 2, got {self.reg_bins}")
+        if self.input_size < 32 or self.input_size % 32:
+            raise ConfigError(f"input_size must be a positive multiple of 32, got {self.input_size}")
+        for name, low in (("reg_bins", 2), ("num_classes", 1), ("in_channels", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def strides(self) -> tuple[int, int, int]:

@@ -35,7 +35,7 @@ class DataError(ToolkitError):
 
 
 class ParseError(DataError):
-    """A label or manifest line, PGM image, snapshot or checkpoint could not be parsed."""
+    """A label or dataset manifest line, PGM image or checkpoint file could not be parsed."""
 
 
 class AccountingError(ToolkitError):

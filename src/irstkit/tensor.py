@@ -18,9 +18,6 @@ used more than once.
 
 from __future__ import annotations
 
-import io
-import math
-import struct
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -32,7 +29,6 @@ from .errors import (
     ContractError,
     DeterminismError,
     NumericError,
-    ParseError,
     ShapeError,
 )
 
@@ -1131,65 +1127,3 @@ def grad_check(op_closure: Callable[..., Tensor4], inputs: Iterable[Tensor4],
             n_checked += 1
 
     return GradCheckReport(max_rel_error=max_err, tolerance=tolerance, n_checked=n_checked)
-
-
-# ---------------------------------------------------------------------------
-# Tensor snapshot file format
-# ---------------------------------------------------------------------------
-
-SNAPSHOT_MAGIC = b"LET4"
-SNAPSHOT_VERSION = 1
-
-
-def write_snapshot(fh, array: np.ndarray) -> int:
-    """Append one tensor record (magic, version, dims, f32 data); returns byte size."""
-    arr = np.asarray(array)
-    if arr.ndim != 4:
-        raise ShapeError(f"snapshot requires rank-4 data, got shape {arr.shape}")
-    header = SNAPSHOT_MAGIC + struct.pack("<I", SNAPSHOT_VERSION)
-    header += struct.pack("<4Q", *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    fh.write(header)
-    fh.write(payload)
-    return len(header) + len(payload)
-
-
-def _read_exact(fh, size: int, part: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ParseError(f"truncated snapshot {part}")
-    return raw
-
-
-def read_snapshot(fh) -> np.ndarray:
-    """Read one tensor record written by write_snapshot from a seekable
-    binary file; a header that claims more payload than the file holds
-    raises ParseError before anything is read."""
-    magic = fh.read(4)
-    if magic != SNAPSHOT_MAGIC:
-        raise ParseError(f"bad snapshot magic {magic!r}")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-    if version != SNAPSHOT_VERSION:
-        raise ParseError(f"unsupported snapshot version {version}")
-    dims = struct.unpack("<4Q", _read_exact(fh, 32, "header"))
-    size = 4 * math.prod(dims)  # Python ints, which do not overflow
-    pos = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - pos
-    fh.seek(pos)
-    if size > left:
-        raise ParseError(f"truncated snapshot payload: dims {dims} need {size} bytes, {left} left")
-    payload = _read_exact(fh, size, "payload")
-    try:
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
-    except ValueError as exc:  # an empty payload with a dim past numpy's limit
-        raise ParseError(f"snapshot dims {dims}: {exc}") from exc
-
-
-def save_tensor(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_snapshot(fh, array)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_snapshot(fh)

@@ -1,6 +1,8 @@
 """Block contracts: shapes, degeneracies, permutation structure, gradients."""
 
+import io
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -648,63 +650,70 @@ class TestCheckpoint:
         x = Tensor4(np.random.default_rng(37).standard_normal((1, 4, 6, 6)).astype(np.float32))
         src(x, training=True)  # move running stats away from their defaults
         before = src(x, training=False).data.copy()
-        B.save_checkpoint(src, tmp_path / "ckpt")
+        B.save_checkpoint(src, tmp_path / "ckpt.npz")
 
         dst = B.AVCStem("stem", 4, 6, rng=np.random.default_rng(99), dtype=np.float32)
         assert not np.allclose(dst(x, training=False).data, before)
-        B.load_checkpoint(dst, tmp_path / "ckpt")
-        # float32 parameters survive the float32 snapshot format bit-exactly
-        for p_src, p_dst in zip(src.parameters(), dst.parameters()):
-            np.testing.assert_array_equal(p_src.value.data, p_dst.value.data)
-        # running stats are stored at float32, so outputs agree to that level
-        np.testing.assert_allclose(dst(x, training=False).data, before, atol=1e-5)
+        B.load_checkpoint(dst, tmp_path / "ckpt.npz")
+        assert dst(x, training=False).data.tobytes() == before.tobytes()
 
-    def test_manifest_names_offsets(self, tmp_path):
-        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
-        B.save_checkpoint(blk, tmp_path / "w")
-        lines = (tmp_path / "w.manifest").read_text().splitlines()
-        names = [ln.split()[0] for ln in lines]
-        assert "gs.cbs.conv.weight" in names
-        assert "gs.cbs.bn.running_mean" in names
-        offsets = [int(ln.split()[-1]) for ln in lines]
-        assert offsets == sorted(offsets) and offsets[0] == 0
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_detector_round_trip_is_bit_identical(self, tmp_path, dtype):
+        cfg = D.ModelConfig(input_size=32, widths=(4, 4, 4, 4), reg_bins=4)
+        images = np.random.default_rng(40).random((2, 1, 32, 32)).astype(dtype)
+        src = D.Detector(cfg, init_seed=1, dtype=dtype)
+        src(Tensor4(images), training=True)  # move running stats away from their defaults
+        B.save_checkpoint(src, tmp_path / "det.npz")
+        dst = D.Detector(cfg, init_seed=2, dtype=dtype)
+        B.load_checkpoint(dst, tmp_path / "det.npz")
+
+        for (name, a), (_, b) in zip(src.state_arrays(), dst.state_arrays(), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        with T.no_grad():
+            heads = zip(src(Tensor4(images)), dst(Tensor4(images)), strict=True)
+            assert all(a.data.tobytes() == b.data.tobytes() for a, b in heads)
+        want = D.predict(src, images, score_thresh=0.001)
+        assert sum(map(len, want)) > 0
+        assert repr(D.predict(dst, images, score_thresh=0.001)) == repr(want)
 
     def test_missing_tensor_raises_data_error(self, tmp_path):
         blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
-        B.save_checkpoint(blk, tmp_path / "w")
-        manifest = tmp_path / "w.manifest"
-        lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join(ln for ln in lines
-                                      if not ln.startswith("gs.cbs.bn.running_var ")) + "\n")
+        np.savez(tmp_path / "w.npz", **{name: arr for name, arr in blk.state_arrays()
+                                        if name != "gs.cbs.bn.running_var"})
         with pytest.raises(DataError, match="gs.cbs.bn.running_var"):
-            B.load_checkpoint(blk, tmp_path / "w")
+            B.load_checkpoint(blk, tmp_path / "w.npz")
+
+    @pytest.mark.parametrize("member, compression", [
+        (np.zeros((1, 2, 1, 1), dtype=np.int32), zipfile.ZIP_STORED),
+        (np.zeros((1, 2, 1, 1), dtype=object), zipfile.ZIP_STORED),
+        (np.zeros((1, 2, 1, 1)), zipfile.ZIP_DEFLATED),
+    ], ids=["int", "object", "compressed"])
+    def test_malformed_member_raises_parse_error(self, tmp_path, member, compression):
+        buf = io.BytesIO()
+        np.save(buf, member)
+        with zipfile.ZipFile(tmp_path / "w.npz", "w", compression) as zf:
+            zf.writestr("c.bias.npy", buf.getvalue())
+        with pytest.raises(ParseError, match="member c.bias.npy"):
+            B.load_checkpoint(B.Conv2dLayer("c", 2, 2, 1, bias=True), tmp_path / "w.npz")
+
+    def test_running_stat_of_wrong_length_raises_shape_error(self):
+        bn = B.BatchNormLayer("bn", 4)
+        arrays = dict(bn.state_arrays())
+        arrays["bn.running_mean"] = np.zeros((1, 7, 1, 1))
+        with pytest.raises(ShapeError, match="^bn.running_mean: checkpoint shape"):
+            bn.load_state(arrays)
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
-        """An AVCStem checkpoint's manifest text and record bytes."""
-        prefix = tmp_path_factory.mktemp("ckpt") / "w"
-        B.save_checkpoint(B.AVCStem("stem", 4, 6, rng=np.random.default_rng(36)), prefix)
-        return (prefix.with_suffix(".manifest").read_text(),
-                prefix.with_suffix(".bin").read_bytes(), prefix.parent)
+        """An AVCStem checkpoint's bytes and a directory to write cuts to."""
+        path = tmp_path_factory.mktemp("ckpt") / "w.npz"
+        B.save_checkpoint(B.AVCStem("stem", 4, 6, rng=np.random.default_rng(36)), path)
+        return path.read_bytes(), path.parent
 
-    @given(part=st.sampled_from(["manifest", "bin"]), data=st.data())
-    def test_any_cut_raises_parse_or_data_error(self, saved, part, data):
-        manifest, records = saved[0], saved[1]
-        # dropping only the manifest's final newline leaves a valid checkpoint
-        size = len(manifest) - 1 if part == "manifest" else len(records)
-        cut = data.draw(st.integers(0, size - 1))
-        prefix = saved[2] / "cut"
-        prefix.with_suffix(".manifest").write_text(manifest[:cut] if part == "manifest"
-                                                   else manifest)
-        prefix.with_suffix(".bin").write_bytes(records[:cut] if part == "bin" else records)
+    @given(data=st.data())
+    def test_any_cut_raises_parse_or_data_error(self, saved, data):
+        raw, folder = saved
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        (folder / "cut.npz").write_bytes(raw[:cut])
         with pytest.raises((ParseError, DataError)):
-            B.load_checkpoint(B.AVCStem("stem", 4, 6), prefix)
-
-    @pytest.mark.parametrize("line", ["gs.cbs.conv.weight", "gs.cbs.conv.weight 1 2 3 4 x"])
-    def test_malformed_manifest_line_raises_parse_error(self, tmp_path, line):
-        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
-        B.save_checkpoint(blk, tmp_path / "w")
-        manifest = tmp_path / "w.manifest"
-        manifest.write_text(line + "\n" + manifest.read_text())
-        with pytest.raises(ParseError):
-            B.load_checkpoint(blk, tmp_path / "w")
+            B.load_checkpoint(B.AVCStem("stem", 4, 6), folder / "cut.npz")

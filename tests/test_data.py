@@ -249,10 +249,11 @@ def test_benchmark_scenes_keep_their_pinned_bytes(kwargs, seed, image_sha, label
     ("gradient_amplitude", dict(gradient_amplitude=math.nan)),
     ("blob_density", dict(blob_density=-1.0)),
     ("blob_density", dict(blob_density=math.inf)),
+    ("blob_density", dict(blob_density=1e19)),
     ("box_sigmas", dict(box_sigmas=math.inf)),
 ], ids=["size-0", "size-inf", "sigma_range-reversed", "sigma_range-nan", "sigma_range-zero",
         "intensity_range-nan", "gradient_amplitude-nan", "blob_density-negative",
-        "blob_density-inf", "box_sigmas-inf"])
+        "blob_density-inf", "blob_density-too-large", "box_sigmas-inf"])
 def test_malformed_scene_spec_raises_data_error_naming_the_field(field, kwargs):
     with pytest.raises(DataError, match=field):
         data.SceneSpec(**kwargs)

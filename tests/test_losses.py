@@ -587,6 +587,14 @@ class TestModelBuild:
         with pytest.raises(ConfigError):
             D.ModelConfig(input_size=100)
 
+    @pytest.mark.parametrize("field, value", [
+        ("input_size", 0), ("input_size", -32),
+        ("num_classes", 0), ("in_channels", 0), ("reg_bins", 1),
+    ])
+    def test_out_of_range_field_raises_config_error_naming_it(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            D.ModelConfig(**{field: value})
+
     def test_entry_points_check_input_channels(self):
         cfg = micro_config()
         model = D.Detector(cfg, init_seed=1, dtype=np.float32)

@@ -3,12 +3,15 @@
 import io
 import struct
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib import format as npformat
 
+from irstkit import blocks as B
 from irstkit import tensor as T
 from irstkit.errors import ConfigError, NumericError, ParseError, ShapeError
 
@@ -677,37 +680,66 @@ class TestUnrecordedForward:
         assert xd.tobytes() == self.input(dtype).tobytes()
 
 
+def stored_npz(path, members: dict[str, bytes], compression=zipfile.ZIP_STORED):
+    """A zip holding the given member bytes, so that only the NPY layer is bad."""
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, raw in members.items():
+            zf.writestr(name, raw)
+    return path
+
+
+def npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 class TestSnapshotFormat:
+    """Tensor records of a checkpoint: one NPY member per state array in the
+    uncompressed ``.npz`` file that ``blocks.save_checkpoint`` writes."""
+
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(20)
-        arr = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        path = tmp_path / "t.let4"
-        T.save_tensor(path, arr)
-        back = T.load_tensor(path)
-        np.testing.assert_array_equal(back, arr)
+        # a NaN payload, a negative NaN, signed zeros, infinities, subnormals
+        bits32 = [0x7FC00123, 0xFFC00000, 0x80000000, 0, 0x7F800000, 0xFF800000,
+                  1, 0x80000001, 0x7F7FFFFF, 0x3EAAAAAB]
+        src = B.BatchNormLayer("bn", 10, dtype=np.float32)
+        src.gamma.value.data = np.array(bits32, dtype=np.uint32).view(np.float32).reshape(1, 10, 1, 1)
+        src.stats.mean = np.array([b << 32 | b for b in bits32], dtype=np.uint64).view(np.float64)
+        B.save_checkpoint(src, tmp_path / "bn.npz")
+        dst = B.BatchNormLayer("bn", 10, dtype=np.float32)
+        B.load_checkpoint(dst, tmp_path / "bn.npz")
+        for (_, a), (_, b) in zip(src.state_arrays(), dst.state_arrays(), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    def test_header_layout(self):
-        buf = io.BytesIO()
-        T.write_snapshot(buf, np.zeros((1, 2, 3, 4), dtype=np.float32))
-        raw = buf.getvalue()
-        assert raw[:4] == b"LET4"
-        assert int.from_bytes(raw[4:8], "little") == 1
-        dims = [int.from_bytes(raw[8 + 8 * i:16 + 8 * i], "little") for i in range(4)]
-        assert dims == [1, 2, 3, 4]
-        assert len(raw) == 4 + 4 + 32 + 24 * 4
+    def test_header_layout(self, tmp_path):
+        blk = B.GSConvBlock("gs", B.GSConvConfig(2, 2), rng=np.random.default_rng(38))
+        B.save_checkpoint(blk, tmp_path / "w.npz")
+        with zipfile.ZipFile(tmp_path / "w.npz") as zf:
+            infos = zf.infolist()
+            assert [i.filename for i in infos] == [f"{n}.npy" for n, _ in blk.state_arrays()]
+            assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+            for info, (_, arr) in zip(infos, blk.state_arrays()):
+                with zf.open(info) as fh:
+                    assert npformat.read_magic(fh) == (1, 0)
+                    assert npformat.read_array_header_1_0(fh) == (arr.shape, False, arr.dtype)
+        assert "gs.cbs.bn.running_mean.npy" in [i.filename for i in infos]
 
-    def test_bad_magic_raises(self):
+    def test_bad_magic_raises(self, tmp_path):
+        blk = B.Conv2dLayer("c", 2, 3, 1)
+        (tmp_path / "not_a_zip.npz").write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(ParseError):
-            T.read_snapshot(io.BytesIO(b"XXXX" + b"\x00" * 64))
+            B.load_checkpoint(blk, tmp_path / "not_a_zip.npz")
+        member = b"XXXX" + npy_bytes(blk.weight.value.data)[4:]
+        with pytest.raises(ParseError, match="c.weight.npy"):
+            B.load_checkpoint(blk, stored_npz(tmp_path / "bad.npz", {"c.weight.npy": member}))
 
     @given(st.data())
-    def test_any_cut_raises_parse_error(self, data):
-        buf = io.BytesIO()
-        T.write_snapshot(buf, np.ones((2, 1, 3, 2), dtype=np.float32))
-        raw = buf.getvalue()
+    def test_any_cut_raises_parse_error(self, tmp_path_factory, data):
+        raw = npy_bytes(np.ones((2, 1, 3, 2), dtype=np.float32))
         cut = data.draw(st.integers(0, len(raw) - 1))
+        path = stored_npz(tmp_path_factory.mktemp("cut") / "w.npz", {"t.npy": raw[:cut]})
         with pytest.raises(ParseError):
-            T.read_snapshot(io.BytesIO(raw[:cut]))
+            B.load_checkpoint(B.Conv2dLayer("c", 2, 3, 1), path)
 
     @pytest.mark.parametrize("dims", [
         (16384, 16384, 256, 1),  # 256 GiB of payload, which a read would try to allocate
@@ -715,21 +747,43 @@ class TestSnapshotFormat:
         (0, 2 ** 64 - 1, 1, 1),  # no payload, but a dim past numpy's limit
     ])
     def test_oversized_header_raises_without_allocating(self, tmp_path, dims):
-        path = tmp_path / "big.let4"
-        header = T.SNAPSHOT_MAGIC + struct.pack("<I", T.SNAPSHOT_VERSION) + struct.pack("<4Q", *dims)
-        path.write_bytes(header + bytes(64))
+        header = io.BytesIO()
+        npformat.write_array_header_1_0(header, {"descr": "<f4", "fortran_order": False,
+                                                 "shape": dims})
+        path = stored_npz(tmp_path / "big.npz", {"t.npy": header.getvalue() + bytes(64)})
         tracemalloc.start()
         try:
             with pytest.raises(ParseError):
-                T.load_tensor(path)
+                B.load_checkpoint(B.Conv2dLayer("c", 2, 3, 1), path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("cut", [6, 8, 20, 39, 40 + 24 * 4 - 1])
-    def test_truncated_record_raises(self, cut):
-        buf = io.BytesIO()
-        T.write_snapshot(buf, np.zeros((1, 2, 3, 4), dtype=np.float32))
-        with pytest.raises(ParseError, match="truncated"):
-            T.read_snapshot(io.BytesIO(buf.getvalue()[:cut]))
+    def test_member_size_past_the_file_raises_without_allocating(self, tmp_path):
+        header = io.BytesIO()
+        npformat.write_array_header_1_0(header, {"descr": "<f4", "fortran_order": False,
+                                                 "shape": (1, 1 << 24, 1, 1)})
+        path = stored_npz(tmp_path / "w.npz", {"t.npy": header.getvalue() + bytes(64)})
+        # the central directory agrees with the header: a 64 MiB member
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"PK\x01\x02") + 20  # compressed and uncompressed sizes
+        raw[at:at + 8] = struct.pack("<2I", *[len(header.getvalue()) + (4 << 24)] * 2)
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="member t.npy: want a float array"):
+                B.load_checkpoint(B.Conv2dLayer("c", 2, 3, 1), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # inside the magic, the header length, the header dict, and the payload
+    @pytest.mark.parametrize("cut", [6, 8, 20, 39, 135])
+    def test_truncated_record_raises(self, tmp_path, cut):
+        raw = npy_bytes(np.zeros((1, 2, 3, 4), dtype=np.float32))
+        path = stored_npz(tmp_path / "w.npz", {"t.npy": raw[:cut]})
+        want = "want a float array" if cut > 128 else "EOF"  # the header ends at byte 128
+        with pytest.raises(ParseError, match=f"member t.npy: {want}"):
+            B.load_checkpoint(B.Conv2dLayer("c", 2, 3, 1), path)
