@@ -636,24 +636,19 @@ def save_checkpoint(module: Module, path) -> None:
         np.savez(fh, **dict(module.state_arrays()))
 
 
-_NPY_HEADER_READERS = {(1, 0): npformat.read_array_header_1_0,
-                       (2, 0): npformat.read_array_header_2_0}
-
-
 def _read_member(zf: zipfile.ZipFile, info: zipfile.ZipInfo, file_size: int) -> np.ndarray:
-    """One stored NPY float array whose header accounts for exactly the
+    """One stored NPY 1.0 float array whose header accounts for exactly the
     member's bytes, which must fit in the file; checked before the payload
     is read, and any failure is a ValueError."""
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError("compressed member")
+    if info.compress_type != zipfile.ZIP_STORED or info.file_size > file_size:
+        raise ValueError(f"want a stored member that fits in the file's {file_size} bytes")
     with zf.open(info) as fh:
-        read_header = _NPY_HEADER_READERS.get(npformat.read_magic(fh))
-        if read_header is None:
-            raise ValueError("unsupported NPY version")
-        shape, fortran_order, dtype = read_header(fh)
+        if npformat.read_magic(fh) != (1, 0):
+            raise ValueError("want NPY format 1.0")
+        shape, fortran_order, dtype = npformat.read_array_header_1_0(fh)
         size = dtype.itemsize * math.prod(shape)  # Python ints, which do not overflow
         left = info.file_size - fh.tell()
-        if dtype.kind != "f" or size != left or info.file_size > file_size:
+        if dtype.kind != "f" or size != left:
             raise ValueError(f"want a float array filling the member's {left} bytes; "
                              f"header claims {dtype} {shape}, {size} bytes")
         order = "F" if fortran_order else "C"
