@@ -48,20 +48,6 @@ class CostReport:
     def total_flops(self) -> int:
         return sum(r[2] for r in self.rows)
 
-    def to_text(self) -> str:
-        width = max([len(r[0]) for r in self.rows] + [5])
-        lines = [f"{'layer':<{width}}  {'params':>12}  {'flops':>16}"]
-        for name, p, f in self.rows:
-            lines.append(f"{name:<{width}}  {p:>12}  {f:>16}")
-        lines.append(f"{'TOTAL':<{width}}  {self.total_params:>12}  {self.total_flops:>16}")
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        lines = ["layer,params,flops"]
-        lines += [f"{name},{p},{f}" for name, p, f in self.rows]
-        lines.append(f"TOTAL,{self.total_params},{self.total_flops}")
-        return "\n".join(lines) + "\n"
-
 
 # context-local, so a tape collects only its own thread's or task's modules
 _ACTIVE_TAPE: ContextVar[dict[str, list[int]] | None] = ContextVar(

@@ -98,22 +98,32 @@ class LossWeights:
             raise ConfigError(f"loss weights must be finite and >= 0, got {vals}")
 
 
+# the fixed parts of the YOLOv8 training schedule: cosine decay to half of
+# lr0, momentum (AdamW's beta1) ramping from 0.8 to 0.937 over the warm-up,
+# and decoupled weight decay
+LR_FINAL_FRACTION = 0.5
+MOMENTUM = 0.937
+WARMUP_MOMENTUM = 0.8
+WEIGHT_DECAY = 0.0005
+
+
 @dataclass
 class TrainConfig:
     batch: int = 16
     epochs: int = 100
     lr0: float = 0.001
-    lr_final_fraction: float = 0.5
-    momentum: float = 0.937
     beta2: float = 0.999
-    weight_decay: float = 0.0005
     warmup_epochs: int = 3
-    warmup_momentum: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be > 0, got {self.lr0}")
+        # each check written as "not inside" so a NaN fails it
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
+        if not 0 <= self.beta2 < 1:
+            raise ConfigError(f"beta2 must lie in [0, 1), got {self.beta2}")
+        if not self.warmup_epochs >= 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         if self.warmup_epochs > self.epochs:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}")
         if self.batch < 1:
@@ -475,6 +485,9 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
 # cells, whose full IoU matrix alone would take 560 MB
 NMS_BLOCK = 1024
 
+# ``decode`` suppresses a box whose IoU with a kept box of its class reaches this
+NMS_IOU = 0.45
+
 
 def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
     """Greedy NMS over one image's detections of one class: in stable
@@ -506,13 +519,13 @@ def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
     return [dets[order[k]] for k in keep]
 
 
-def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,
-           nms_iou: float = 0.45) -> list[list[Detection]]:
+def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list[Detection]]:
     """Head outputs to per-image detections: sigmoid class scores, score
     threshold, bin expectations to box sides for the passing cells, then
-    greedy per-class NMS.  Detections come back sorted by descending score."""
-    if not (0.0 < score_thresh < 1.0) or not (0.0 < nms_iou < 1.0):
-        raise ConfigError("score_thresh and nms_iou must lie in (0, 1)")
+    greedy per-class NMS at ``NMS_IOU``.  Detections come back sorted by
+    descending score."""
+    if not 0.0 < score_thresh < 1.0:
+        raise ConfigError(f"score_thresh must lie in (0, 1), got {score_thresh}")
     ncls, bins = cfg.num_classes, cfg.reg_bins
     arange = np.arange(bins)
     outs = [o.data if isinstance(o, Tensor4) else np.asarray(o) for o in head_outs]
@@ -544,7 +557,7 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,
         kept: list[Detection] = []
         for cands in per_class:
             if cands:
-                kept.extend(_nms(cands, nms_iou))
+                kept.extend(_nms(cands, NMS_IOU))
         result.append(sorted(kept, key=lambda d: -d.score))
     return result
 
@@ -554,15 +567,17 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25,
 # ---------------------------------------------------------------------------
 
 
+ADAM_EPS = 1e-8  # added to AdamW's root second moment
+
+
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay and bias
     correction; the momentum coefficient is supplied per step so it can
     ramp during warm-up."""
 
-    def __init__(self, params, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, beta2: float = 0.999):
         self.params = list(params)
         self.beta2 = beta2
-        self.eps = eps
 
     def step(self, lr: float, beta1: float, weight_decay: float) -> None:
         for p in self.params:
@@ -580,7 +595,7 @@ class AdamW:
             p.moment2 = self.beta2 * p.moment2 + (1.0 - self.beta2) * g * g
             m_hat = p.moment1 / (1.0 - beta1 ** t)
             v_hat = p.moment2 / (1.0 - self.beta2 ** t)
-            update = lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if weight_decay:
                 update = update + lr * weight_decay * p.value.data
             p.value.data = p.value.data - update.astype(p.value.data.dtype)
@@ -589,17 +604,18 @@ class AdamW:
 def lr_schedule(step: int, total_steps: int, steps_per_epoch: int,
                 cfg: TrainConfig) -> tuple[float, float]:
     """(learning rate, momentum) at a step: linear warm-up for the first
-    warm-up epochs (momentum ramps from its warm-up value), then cosine
-    decay from lr0 to lr0 * lr_final_fraction at the final step."""
+    warm-up epochs (momentum ramps from ``WARMUP_MOMENTUM`` to
+    ``MOMENTUM``), then cosine decay from lr0 to lr0 * ``LR_FINAL_FRACTION``
+    at the final step."""
     warm = cfg.warmup_epochs * steps_per_epoch
-    lr_final = cfg.lr0 * cfg.lr_final_fraction
+    lr_final = cfg.lr0 * LR_FINAL_FRACTION
     if step < warm:
         frac = (step + 1) / warm
-        return cfg.lr0 * frac, cfg.warmup_momentum + (cfg.momentum - cfg.warmup_momentum) * frac
+        return cfg.lr0 * frac, WARMUP_MOMENTUM + (MOMENTUM - WARMUP_MOMENTUM) * frac
     span = max(total_steps - 1 - warm, 1)
     t = min(max((step - warm) / span, 0.0), 1.0)
     lr = lr_final + 0.5 * (cfg.lr0 - lr_final) * (1.0 + math.cos(math.pi * t))
-    return lr, cfg.momentum
+    return lr, MOMENTUM
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +638,14 @@ def train_step(model: Detector, optimizer: AdamW, images: np.ndarray, batch_gts,
         raise NumericError(f"non-finite loss at step {step}: {breakdown}")
     model.zero_grads()
     T.backward(loss)
-    optimizer.step(lr, beta1, tcfg.weight_decay)
+    optimizer.step(lr, beta1, WEIGHT_DECAY)
     record = {"step": step, "lr": lr}
     record.update(breakdown)
     return record
 
 
 def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
-            nms_iou: float = 0.45, batch: int = 16) -> list[list[Detection]]:
+            batch: int = 16) -> list[list[Detection]]:
     """Inference-mode detections for a stack of images (n, c, h, w).
 
     The heads come from ``model.fused()``, folded once per call and run
@@ -647,7 +663,7 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
         for lo in range(0, images.shape[0], batch):
             x = Tensor4(images[lo:lo + batch].astype(model.dtype, copy=False))
             outs = fused(x, training=False)
-            dets.extend(decode(outs, model.cfg, score_thresh, nms_iou))
+            dets.extend(decode(outs, model.cfg, score_thresh))
     # re-stamp image ids to dataset indices
     for i, per_image in enumerate(dets):
         for d in per_image:

@@ -31,11 +31,12 @@ class DeterminismError(ToolkitError):
 
 
 class DataError(ToolkitError):
-    """Dataset-level failure: parse errors, bad ranges, missing files."""
+    """Bad data: an invalid scene spec or label, metric inputs without a
+    ground truth or image, a checkpoint without a tensor the model needs."""
 
 
 class ParseError(DataError):
-    """A label or dataset manifest line, PGM image or checkpoint file could not be parsed."""
+    """A checkpoint file could not be parsed."""
 
 
 class AccountingError(ToolkitError):

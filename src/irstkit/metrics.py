@@ -202,14 +202,17 @@ def _hit_ranks_ap(ranks: list[int], n_gt: int) -> float:
     return ap
 
 
-def match_detections(dets: list[Detection], gts: list[GTBox],
-                     iou_thresh: float = 0.5,
+# mAP@50's match threshold: a true positive's IoU must exceed it
+MATCH_IOU = 0.5
+
+
+def match_detections(dets: list[Detection], gts: list[GTBox], *,
                      order: list[int] | None = None) -> tuple[list[tuple[float, bool]], int]:
     """Greedy one-to-one matching by descending score within (image, class).
 
     A detection is a true positive when its best unmatched same-class
-    ground truth in the same image exceeds the IoU threshold; each ground
-    truth matches at most one detection.  Returns (score, tp) pairs aligned
+    ground truth in the same image has an IoU above ``MATCH_IOU``; each
+    ground truth matches at most one detection.  Returns (score, tp) pairs aligned
     with the detections plus the matched count.  ``order``, when given, is
     the detections' ``_score_order``.
     """
@@ -230,7 +233,7 @@ def match_detections(dets: list[Detection], gts: list[GTBox],
             v = iou(det.box, gts[j].box)
             if v > best_iou:
                 best_j, best_iou = j, v
-        if best_j >= 0 and best_iou > iou_thresh:
+        if best_j >= 0 and best_iou > MATCH_IOU:
             matched.add(best_j)
             labels[i] = (det.score, True)
             n_matched += 1
@@ -260,10 +263,10 @@ def _mean_class_ap(dets: list[Detection], labels: list[tuple[float, bool]],
     return float(np.mean(aps))
 
 
-def map50(dets: list[Detection], gts: list[GTBox], iou_thresh: float = 0.5) -> float:
+def map50(dets: list[Detection], gts: list[GTBox]) -> float:
     """Mean AP over the classes present in the ground truth (IoU > 0.5 match)."""
     order = _score_order([d.score for d in dets])
-    labels, _ = match_detections(dets, gts, iou_thresh, order=order)
+    labels, _ = match_detections(dets, gts, order=order)
     return _mean_class_ap(dets, labels, gts, order)
 
 
@@ -333,13 +336,13 @@ def noco(region: ContrastRegion) -> float:
     return (region.mu_t - region.mu_b) / max(region.sigma_b, 1e-6)
 
 
-DEFAULT_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+# mNoCoAP's contrast thresholds: 0.1, 0.2, ..., 0.9
+NOCO_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
-def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict,
-            deltas=DEFAULT_DELTAS,
+def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict, *,
             order: list[int] | None = None) -> tuple[float, dict[float, float]]:
-    """Contrast-thresholded AP averaged over the delta sweep.
+    """Contrast-thresholded AP averaged over the ``NOCO_DELTAS`` sweep.
 
     For each threshold, a detection is a true positive when (a) its
     centroid lies inside a not-yet-matched ground-truth box of the same
@@ -389,7 +392,7 @@ def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict,
         order = _score_order([d.score for d in dets])
     ranked = [(rank, candidates[i]) for rank, i in enumerate(order) if i in candidates]
     per_delta: dict[float, float] = {}
-    for delta in deltas:
+    for delta in NOCO_DELTAS:
         matched: set[int] = set()
         hits = []
         for rank, cands in ranked:
@@ -421,41 +424,13 @@ class MetricReport:
     counts: ConfusionCounts
     curve: PRCurve
 
-    def to_text(self) -> str:
-        lines = [
-            f"precision {self.precision:.6f}",
-            f"recall {self.recall:.6f}",
-            f"f1 {self.f1:.6f}",
-            f"map50 {self.map50:.6f}",
-            f"tp {self.counts.tp}",
-            f"fp {self.counts.fp}",
-            f"fn {self.counts.fn}",
-        ]
-        if self.mnocoap is not None:
-            lines.append(f"mnocoap {self.mnocoap:.6f}")
-            for delta, ap in sorted(self.per_delta.items()):
-                lines.append(f"ap_delta_{delta:.1f} {ap:.6f}")
-        return "\n".join(lines) + "\n"
-
-    def pr_csv(self) -> str:
-        lines = ["recall,precision"]
-        lines += [f"{r:.9f},{p:.9f}" for r, p in self.curve.points]
-        return "\n".join(lines) + "\n"
-
-    def delta_csv(self) -> str:
-        lines = ["delta,ap"]
-        if self.per_delta:
-            lines += [f"{d:.1f},{a:.9f}" for d, a in sorted(self.per_delta.items())]
-        return "\n".join(lines) + "\n"
-
 
 def evaluate_detections(dets: list[Detection], gts: list[GTBox],
-                        images: dict | None = None,
-                        iou_thresh: float = 0.5) -> MetricReport:
+                        images: dict | None = None) -> MetricReport:
     """Full metric bundle at the detections' operating point."""
     # one score order for matching, every class's AP, the curve and mNoCoAP
     order = _score_order([d.score for d in dets])
-    labels, n_matched = match_detections(dets, gts, iou_thresh, order=order)
+    labels, n_matched = match_detections(dets, gts, order=order)
     counts = ConfusionCounts(tp=n_matched, fp=len(dets) - n_matched,
                              fn=len(gts) - n_matched)
     p, r, f1 = prf1(counts)

@@ -9,6 +9,7 @@ import pytest
 from irstkit import blocks as B
 from irstkit import complexity as C
 from irstkit import detector as D
+from irstkit import metrics as M
 from irstkit import tensor as T
 from irstkit.data import GroundTruth
 from irstkit.errors import ConfigError, DataError, NumericError, ShapeError
@@ -385,7 +386,7 @@ class TestDecode:
         cfg = D.ModelConfig()
         outs = [rng.normal(0, 3, (1, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)))
                 for s in range(3)]
-        (dets,) = D.decode(outs, cfg, score_thresh=0.3, nms_iou=0.45)
+        (dets,) = D.decode(outs, cfg, score_thresh=0.3)
         for i in range(len(dets)):
             for j in range(i + 1, len(dets)):
                 if dets[i].class_id == dets[j].class_id:
@@ -578,7 +579,21 @@ class TestModelBuild:
         lambda: B.MBConvConfig(8, 8, expansion=6),
         lambda: B.GSConvConfig(4, 4, shuffle_groups=2),
         lambda: D.train_loop(None, None, None, D.TrainConfig(), stop_map=0.5),
-    ], ids=["depths", "expansion", "kernel", "mbconv_expansion", "shuffle_groups", "stop_map"])
+        lambda: D.TrainConfig(lr_final_fraction=0.1),
+        lambda: D.TrainConfig(momentum=0.9),
+        lambda: D.TrainConfig(warmup_momentum=0.5),
+        lambda: D.TrainConfig(weight_decay=0.0),
+        lambda: D.AdamW([], eps=1e-6),
+        lambda: D.decode([], D.ModelConfig(), nms_iou=0.5),
+        lambda: D.predict(None, None, nms_iou=0.5),
+        lambda: M.match_detections([], [], iou_thresh=0.3),
+        lambda: M.map50([], [], iou_thresh=0.3),
+        lambda: M.evaluate_detections([], [], iou_thresh=0.3),
+        lambda: M.mnocoap([], [], {}, deltas=(0.5,)),
+    ], ids=["depths", "expansion", "kernel", "mbconv_expansion", "shuffle_groups", "stop_map",
+            "lr_final_fraction", "momentum", "warmup_momentum", "weight_decay", "adamw_eps",
+            "decode_nms_iou", "predict_nms_iou", "match_iou_thresh", "map50_iou_thresh",
+            "evaluate_iou_thresh", "mnocoap_deltas"])
     def test_fixed_hyperparameter_is_not_settable(self, build):
         with pytest.raises(TypeError):
             build()
@@ -594,6 +609,16 @@ class TestModelBuild:
     def test_out_of_range_field_raises_config_error_naming_it(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             D.ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr0", math.nan), ("lr0", math.inf), ("lr0", 0.0), ("lr0", -1e-3),
+        ("beta2", math.nan), ("beta2", 1.0), ("beta2", -0.1),
+        ("warmup_epochs", -2), ("warmup_epochs", math.nan), ("warmup_epochs", 101),
+        ("batch", 0),
+    ])
+    def test_bad_train_config_field_raises_config_error_naming_it(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            D.TrainConfig(**{field: value})
 
     def test_entry_points_check_input_channels(self):
         cfg = micro_config()

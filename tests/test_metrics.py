@@ -42,7 +42,7 @@ def region_reference(image, box):
     return M.ContrastRegion(float(tvals.mean()), float(bvals.mean()), float(bvals.std()))
 
 
-def match_reference(dets, gts, iou_thresh=0.5):
+def match_reference(dets, gts):
     matched = set()
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     labels = [None] * len(dets)
@@ -56,7 +56,7 @@ def match_reference(dets, gts, iou_thresh=0.5):
             v = M.iou(det.box, gt.box)
             if v > best_iou:
                 best_j, best_iou = j, v
-        if best_j >= 0 and best_iou > iou_thresh:
+        if best_j >= 0 and best_iou > 0.5:
             matched.add(best_j)
             labels[i] = (det.score, True)
             n_matched += 1
@@ -65,7 +65,7 @@ def match_reference(dets, gts, iou_thresh=0.5):
     return labels, n_matched
 
 
-def mnocoap_reference(dets, gts, images, deltas=M.DEFAULT_DELTAS):
+def mnocoap_reference(dets, gts, images):
     gt_noco = [M.noco(region_reference(images[g.image_id], g.box))
                for g in gts]
     candidates = []
@@ -84,7 +84,7 @@ def mnocoap_reference(dets, gts, images, deltas=M.DEFAULT_DELTAS):
         candidates.append(cands)
     order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
     per_delta = {}
-    for delta in deltas:
+    for delta in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         matched = set()
         scored = []
         for i in order:
@@ -283,8 +283,15 @@ class TestMatching:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_all_pairs_reference(self, seed):
         dets, gts, _ = random_eval_set(seed)
-        for thresh in (0.1, 0.3, 0.5):
-            assert M.match_detections(dets, gts, thresh) == match_reference(dets, gts, thresh)
+        assert M.match_detections(dets, gts) == match_reference(dets, gts)
+
+    def test_order_is_keyword_only(self):
+        # a stale positional IoU threshold must fail at the call, not bind to order
+        dets, gts, images = random_eval_set(0)
+        with pytest.raises(TypeError, match="positional"):
+            M.match_detections(dets, gts, 0.5)
+        with pytest.raises(TypeError, match="positional"):
+            M.mnocoap(dets, gts, images, M.NOCO_DELTAS)
 
     def test_hand_worked(self):
         gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(20, 0, 30, 10)),
@@ -321,10 +328,11 @@ class TestMatching:
             assert M.evaluate_detections(dets, gts).map50 == 1.0
 
     def test_equal_iou_goes_to_first_truth(self):
-        gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(10, 0, 20, 10))]
-        dets = [Detection(0, 0.9, Box(5, 0, 15, 10)), Detection(0, 0.8, Box(0, 0, 10, 10))]
-        # both IoUs of the first detection are 50 / 150; the first truth wins
-        labels, n = M.match_detections(dets, gts, iou_thresh=0.3)
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10)), GTBox(0, 0, Box(1, 0, 11, 10))]
+        dets = [Detection(0, 0.9, Box(0.5, 0, 10.5, 10)), Detection(0, 0.8, Box(-3, 0, 7, 10))]
+        # both IoUs of the first detection are 95 / 105; the first truth wins,
+        # and the second detection's IoU with the second truth is 60 / 140
+        labels, n = M.match_detections(dets, gts)
         assert labels == [(0.9, True), (0.8, False)] and n == 1
 
 
