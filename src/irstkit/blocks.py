@@ -27,7 +27,7 @@ from numpy.lib import format as npformat
 from . import complexity
 from . import tensor as T
 from .errors import ConfigError, ContractError, DataError, ParseError, ShapeError
-from .tensor import ParamTensor, RunningStats, Tensor4
+from .tensor import RunningStats, Tensor4
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +40,13 @@ class Module:
     call checks the input width against ``in_channels`` (when set), runs
     ``forward``, then records ``cost`` as this module's cost-tape row.
 
-    Assigning a :class:`ParamTensor`, :class:`RunningStats` or
-    :class:`Module` to an attribute registers it, and assignment order is
-    checkpoint order: a module's parameters, then its running stats, then
-    its children, each kind in the order assigned.  Reassigning a registered
-    name replaces its entry in place; any other value unregisters the name."""
+    A :class:`Tensor4` attribute is a parameter: a leaf with
+    ``requires_grad`` set, made by ``_param``.  Assigning a parameter,
+    :class:`RunningStats` or :class:`Module` to an attribute registers it,
+    and assignment order is checkpoint order: a module's parameters, then
+    its running stats, then its children, each kind in the order assigned.
+    Reassigning a registered name replaces its entry in place; any other
+    value unregisters the name."""
 
     # (conv attribute, batch-norm attribute) pairs in which the batch norm
     # directly follows the conv; ``fold_bn`` merges each pair into the conv
@@ -56,7 +58,7 @@ class Module:
         self.in_channels = in_channels
 
     def __setattr__(self, attr: str, value) -> None:
-        if isinstance(value, (ParamTensor, RunningStats, Module)):
+        if isinstance(value, (Tensor4, RunningStats, Module)):
             self._registry[attr] = value
         else:
             self._registry.pop(attr, None)
@@ -65,14 +67,14 @@ class Module:
     def _own(self, kind) -> list:
         return [v for v in self._registry.values() if isinstance(v, kind)]
 
-    def _param(self, suffix: str, array: np.ndarray) -> ParamTensor:
-        return ParamTensor(value=Tensor4(array, requires_grad=True, name=f"{self.name}.{suffix}"))
+    def _param(self, suffix: str, array: np.ndarray) -> Tensor4:
+        return Tensor4(array, requires_grad=True, name=f"{self.name}.{suffix}")
 
-    def parameters(self) -> list[ParamTensor]:
-        return [p for m in self.sublayers() for p in m._own(ParamTensor)]
+    def parameters(self) -> list[Tensor4]:
+        return [p for m in self.sublayers() for p in m._own(Tensor4)]
 
     def num_scalars(self) -> int:
-        return sum(p.value.data.size for p in self.parameters())
+        return sum(p.data.size for p in self.parameters())
 
     def sublayers(self):
         """This module and its descendants in pre-order (checkpoint order)."""
@@ -84,7 +86,7 @@ class Module:
         """(name, rank-4 array) pairs, per module: parameters then running stats."""
         out = []
         for m in self.sublayers():
-            out += [(p.value.name, p.value.data) for p in m._own(ParamTensor)]
+            out += [(p.name, p.data) for p in m._own(Tensor4)]
             for stats in m._own(RunningStats):
                 out.append((f"{m.name}.running_mean", stats.mean.reshape(1, -1, 1, 1)))
                 out.append((f"{m.name}.running_var", stats.var.reshape(1, -1, 1, 1)))
@@ -100,15 +102,15 @@ class Module:
                 raise ShapeError(f"{name}: checkpoint shape {arrays[name].shape} "
                                  f"!= model shape {like.shape}")
         for m in self.sublayers():
-            for p in m._own(ParamTensor):
-                p.value.data = arrays[p.value.name].astype(p.value.data.dtype)
+            for p in m._own(Tensor4):
+                p.data = arrays[p.name].astype(p.data.dtype)
             for stats in m._own(RunningStats):
                 stats.mean = arrays[f"{m.name}.running_mean"].reshape(-1).astype(np.float64)
                 stats.var = arrays[f"{m.name}.running_var"].reshape(-1).astype(np.float64)
 
     def zero_grads(self) -> None:
         for p in self.parameters():
-            p.value.zero_grad()
+            p.zero_grad()
 
     def _site(self) -> int:
         # stable per-name stream id so dropout masks differ across sites
@@ -157,15 +159,14 @@ class Conv2dLayer(Module):
         self.bias = self._param("bias", np.zeros((1, c_out, 1, 1), dtype=dtype)) if bias else None
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        return T.conv2d(x, self.weight.value,
-                        bias=self.bias.value if self.bias else None,
+        return T.conv2d(x, self.weight, bias=self.bias,
                         stride=self.stride, pad=self.pad, groups=self.groups)
 
     def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
         """Output channels lo..hi-1 of an unrecorded ``forward``, for a dense
         or depthwise conv; a depthwise conv's x holds only those channels."""
-        return T.conv2d(x, Tensor4(self.weight.value.data[lo:hi]),
-                        bias=Tensor4(self.bias.value.data[:, lo:hi]) if self.bias else None,
+        return T.conv2d(x, Tensor4(self.weight.data[lo:hi]),
+                        bias=Tensor4(self.bias.data[:, lo:hi]) if self.bias is not None else None,
                         stride=self.stride, pad=self.pad,
                         groups=1 if self.groups == 1 else hi - lo)
 
@@ -184,14 +185,14 @@ class BatchNormLayer(Module):
         self.stats = RunningStats.create(c)
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        return T.batch_norm(x, self.gamma.value, self.beta.value, self.stats,
+        return T.batch_norm(x, self.gamma, self.beta, self.stats,
                             training=training)
 
     def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
         """Channels lo..hi-1 of the inference-mode ``forward``, unrecorded;
         x holds only those channels."""
-        return T.batch_norm(x, Tensor4(self.gamma.value.data[:, lo:hi]),
-                            Tensor4(self.beta.value.data[:, lo:hi]),
+        return T.batch_norm(x, Tensor4(self.gamma.data[:, lo:hi]),
+                            Tensor4(self.beta.data[:, lo:hi]),
                             RunningStats(self.stats.mean[lo:hi], self.stats.var[lo:hi]),
                             training=False)
 
@@ -228,12 +229,12 @@ def fold_bn(model: Module) -> Module:
     for m in list(fused.sublayers()):
         for conv_attr, bn_attr in m.bn_pairs:
             conv, bn = getattr(m, conv_attr), getattr(m, bn_attr)
-            w = conv.weight.value.data
-            scale = bn.gamma.value.data.reshape(-1) / np.sqrt(bn.stats.var + T.BN_EPS)
+            w = conv.weight.data
+            scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.stats.var + T.BN_EPS)
             shift = -bn.stats.mean
             if conv.bias is not None:
-                shift = shift + conv.bias.value.data.reshape(-1)
-            bias = bn.beta.value.data.reshape(-1) + shift * scale
+                shift = shift + conv.bias.data.reshape(-1)
+            bias = bn.beta.data.reshape(-1) + shift * scale
             conv.weight = conv._param("weight", w * scale.astype(w.dtype).reshape(-1, 1, 1, 1))
             conv.bias = conv._param("bias", bias.astype(w.dtype).reshape(1, -1, 1, 1))
             setattr(m, bn_attr, PassThrough(bn.name))
@@ -383,8 +384,7 @@ class MBConvBlock(Module):
                                          dtype=dtype)
 
     def forward(self, x, training=False, seed=0):
-        if training or complexity.tape_active() or T._records(
-                x, *(p.value for p in self.parameters())):
+        if training or complexity.tape_active() or T._records(x, *self.parameters()):
             out = self.expand(x, training=training)
             out = T.silu_(self.dw_bn(self.dw(out), training=training))
         else:
@@ -402,7 +402,7 @@ class MBConvBlock(Module):
         unrecorded, one block of hidden channels at a time, each written to
         its rows of the depthwise output."""
         n, _, h, w = x.shape
-        itemsize = np.result_type(x.data, self.dw.weight.value.data).itemsize
+        itemsize = np.result_type(x.data, self.dw.weight.data).itemsize
         per = max(MBCONV_MIN_BLOCK, MBCONV_BLOCK_BYTES // (n * h * w * itemsize))
         out = None
         for lo, hi in channel_blocks(self.cfg.hidden, per):
@@ -572,14 +572,14 @@ class VKConv(Module):
     def sample_coords(self, x: Tensor4) -> Tensor4:
         """(n, 2K, h, w) sampling coordinates in the offset layout: scaled
         offsets plus the base pattern at each pixel (float64)."""
-        off = T.mul(self.offset_conv(x), self.alpha.value)
+        off = T.mul(self.offset_conv(x), self.alpha)
         _, _, h, w = off.shape
         base = self.base[:, :, None, None] + np.mgrid[0:h, 0:w]
         return T.add(off, Tensor4.const(base.reshape(1, -1, h, w)))
 
     def forward(self, x, training=False, seed=0):
         coords = self.sample_coords(x)  # offset row before the project row
-        acc = T.bilinear_sample(self.project(x), coords, self.point_w.value)
+        acc = T.bilinear_sample(self.project(x), coords, self.point_w)
         return T.silu_(self.bn(acc, training=training))
 
     def cost(self, x, out):

@@ -573,32 +573,32 @@ ADAM_EPS = 1e-8  # added to AdamW's root second moment
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay and bias
     correction; the momentum coefficient is supplied per step so it can
-    ramp during warm-up."""
+    ramp during warm-up.  The optimizer owns each parameter's moments and
+    step count: a moment is 0.0 until that parameter's first step
+    allocates it, and a new optimizer starts from none."""
 
     def __init__(self, params, beta2: float = 0.999):
         self.params = list(params)
         self.beta2 = beta2
+        self.moment1 = [0.0] * len(self.params)
+        self.moment2 = [0.0] * len(self.params)
+        self.step_counts = [0] * len(self.params)
 
     def step(self, lr: float, beta1: float, weight_decay: float) -> None:
-        for p in self.params:
-            g = p.value.grad
-            if g is None:
+        for i, p in enumerate(self.params):
+            if p.grad is None:
                 continue
-            g = g.astype(np.float64)
-            if p.moment1 is None:
-                p.moment1 = np.zeros_like(g)
-            if p.moment2 is None:
-                p.moment2 = np.zeros_like(g)
-            p.step_count += 1
-            t = p.step_count
-            p.moment1 = beta1 * p.moment1 + (1.0 - beta1) * g
-            p.moment2 = self.beta2 * p.moment2 + (1.0 - self.beta2) * g * g
-            m_hat = p.moment1 / (1.0 - beta1 ** t)
-            v_hat = p.moment2 / (1.0 - self.beta2 ** t)
+            g = p.grad.astype(np.float64)
+            self.step_counts[i] += 1
+            t = self.step_counts[i]
+            m1 = self.moment1[i] = beta1 * self.moment1[i] + (1.0 - beta1) * g
+            m2 = self.moment2[i] = self.beta2 * self.moment2[i] + (1.0 - self.beta2) * g * g
+            m_hat = m1 / (1.0 - beta1 ** t)
+            v_hat = m2 / (1.0 - self.beta2 ** t)
             update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if weight_decay:
-                update = update + lr * weight_decay * p.value.data
-            p.value.data = p.value.data - update.astype(p.value.data.dtype)
+                update = update + lr * weight_decay * p.data
+            p.data = p.data - update.astype(p.data.dtype)
 
 
 def lr_schedule(step: int, total_steps: int, steps_per_epoch: int,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, count
 
 import numpy as np
@@ -127,7 +127,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Confusion counts and PR curves
+# Confusion counts and average precision
 # ---------------------------------------------------------------------------
 
 
@@ -146,23 +146,10 @@ def prf1(counts: ConfusionCounts) -> tuple[float, float, float]:
     return p, r, f1
 
 
-@dataclass
-class PRCurve:
-    points: list[tuple[float, float]] = field(default_factory=list)  # (recall, precision)
-
-
 def _score_order(scores) -> list[int]:
     # stable sort by descending score keeps tie order deterministic
     neg = [-s for s in scores]
     return sorted(range(len(neg)), key=neg.__getitem__)
-
-
-def pr_curve(ranked: list[bool], n_gt: int) -> PRCurve:
-    """(recall, precision) after each of the true-positive flags ``ranked``,
-    which are in descending score order (stable for ties)."""
-    tps = np.cumsum(np.asarray(ranked, dtype=bool))
-    recalls, precisions = tps / n_gt, tps / np.arange(1, tps.size + 1)
-    return PRCurve(points=list(zip(recalls.tolist(), precisions.tolist())))
 
 
 def average_precision(scored: list[tuple[float, bool]], n_gt: int) -> float:
@@ -422,24 +409,22 @@ class MetricReport:
     mnocoap: float | None
     per_delta: dict[float, float] | None
     counts: ConfusionCounts
-    curve: PRCurve
 
 
 def evaluate_detections(dets: list[Detection], gts: list[GTBox],
                         images: dict | None = None) -> MetricReport:
     """Full metric bundle at the detections' operating point."""
-    # one score order for matching, every class's AP, the curve and mNoCoAP
+    # one score order for matching, every class's AP and mNoCoAP
     order = _score_order([d.score for d in dets])
     labels, n_matched = match_detections(dets, gts, order=order)
     counts = ConfusionCounts(tp=n_matched, fp=len(dets) - n_matched,
                              fn=len(gts) - n_matched)
     p, r, f1 = prf1(counts)
     m = _mean_class_ap(dets, labels, gts, order)
-    curve = pr_curve([labels[i][1] for i in order], max(len(gts), 1))
     if images is not None:
         value, per_delta = mnocoap(dets, gts, images, order=order)
     else:
         value, per_delta = None, None
     return MetricReport(precision=p, recall=r, f1=f1, map50=m,
                         mnocoap=value, per_delta=per_delta,
-                        counts=counts, curve=curve)
+                        counts=counts)

@@ -146,28 +146,6 @@ class Tensor4:
         return mul(self, -1.0)
 
 
-@dataclass
-class ParamTensor:
-    """A trainable tensor with first/second moment buffers for the optimizer;
-    the buffers stay None until the optimizer's first step, so a model that
-    is only run for inference allocates none."""
-
-    value: Tensor4
-    moment1: np.ndarray | None = None
-    moment2: np.ndarray | None = None
-    step_count: int = 0
-
-    def __post_init__(self):
-        for moment in (self.moment1, self.moment2):
-            if moment is not None and moment.size != self.value.data.size:
-                raise ShapeError("moment buffers must match value size")
-        self.value.requires_grad = True
-
-    @property
-    def name(self) -> str:
-        return self.value.name
-
-
 # ---------------------------------------------------------------------------
 # Graph plumbing
 # ---------------------------------------------------------------------------
@@ -431,8 +409,8 @@ def _logistic(xd: np.ndarray) -> np.ndarray:
 def activation(x: Tensor4, kind: str) -> Tensor4:
     """Elementwise activation; kind is one of silu, sigmoid, relu.
 
-    SiLU's backward reads its sigmoid, so a recorded SiLU keeps that in a
-    buffer of its own; an unrecorded one multiplies it by x in place.
+    SiLU's backward reads its sigmoid, so SiLU keeps that in a buffer of
+    its own; ``silu_`` is the in-place form for an unrecorded SiLU.
     """
     xd = x.data
     if kind == "sigmoid":
@@ -440,9 +418,6 @@ def activation(x: Tensor4, kind: str) -> Tensor4:
         return _make(out, "sigmoid", (x,), lambda g: (g * out * (1.0 - out),))
     if kind == "silu":
         sig = _logistic(xd)
-        if not _records(x):
-            sig *= xd
-            return _make(sig, "silu", (x,), None)
         out = xd * sig
 
         def back(g):

@@ -35,7 +35,7 @@ for dtype in (np.float32, np.float64):
     D.train_step(model, D.AdamW(model.parameters()), images, gts, 0, 10, 1,
                  D.TrainConfig(epochs=10), D.LossWeights())
     for p in model.parameters():
-        digest.update(p.value.data.tobytes())
+        digest.update(p.data.tobytes())
 print(digest.hexdigest())
 """
 

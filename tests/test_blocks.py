@@ -25,7 +25,7 @@ def rand_input(shape, seed=0):
 
 def zero_params(module):
     for p in module.parameters():
-        p.value.data = np.zeros_like(p.value.data)
+        p.data = np.zeros_like(p.data)
 
 
 def fd_block(module, x, tol=1e-5, **fw):
@@ -87,7 +87,7 @@ class TestMBConv:
     def test_zero_projection_residual_identity(self):
         cfg = B.MBConvConfig(c_in=8, c_out=8, stride=1)
         block = B.MBConvBlock("mb", cfg, rng=np.random.default_rng(5))
-        block.project.weight.value.data[:] = 0.0
+        block.project.weight.data[:] = 0.0
         x = rand_input((2, 8, 6, 6), seed=5)
         out = block(x, training=False)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
@@ -96,7 +96,7 @@ class TestMBConv:
         cfg = B.MBConvConfig(c_in=8, c_out=16)
         assert not cfg.has_residual
         block = B.MBConvBlock("mb", cfg, rng=np.random.default_rng(6))
-        block.project.weight.value.data[:] = 0.0
+        block.project.weight.data[:] = 0.0
         x = rand_input((1, 8, 6, 6), seed=6)
         out = block(x, training=False)
         # zeroed main path and no skip: the output collapses to the BN shift
@@ -128,8 +128,8 @@ class TestBlockedMBConv:
         rng = np.random.default_rng(4)
         for m in blk.sublayers():
             if isinstance(m, B.BatchNormLayer):
-                m.gamma.value.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
-                m.beta.value.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
+                m.gamma.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
+                m.beta.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
                 m.stats.mean = rng.normal(0.0, 0.5, m.c)
                 m.stats.var = rng.uniform(0.3, 2.0, m.c)
         return B.fold_bn(blk) if fused else blk
@@ -216,10 +216,10 @@ class TestPartialConv:
 
     def test_delta_kernel_identity(self):
         pc = B.PartialConv("pc", 8)
-        w = np.zeros_like(pc.conv.weight.value.data)
+        w = np.zeros_like(pc.conv.weight.data)
         for c in range(pc.cp):
             w[c, c, 1, 1] = 1.0
-        pc.conv.weight.value.data = w
+        pc.conv.weight.data = w
         x = rand_input((1, 8, 5, 5), seed=11)
         np.testing.assert_allclose(pc(x).data, x.data, atol=1e-12)
 
@@ -235,8 +235,8 @@ class TestPartialConv:
 class TestBSBlock:
     def test_zero_projection_is_identity_in_inference(self):
         block = B.BSBlock("bs", 8, rng=np.random.default_rng(13))
-        block.mlp_out.weight.value.data[:] = 0.0
-        block.mlp_out.bias.value.data[:] = 0.0
+        block.mlp_out.weight.data[:] = 0.0
+        block.mlp_out.bias.data[:] = 0.0
         x = rand_input((2, 8, 5, 5), seed=13)
         np.testing.assert_allclose(block(x, training=False).data, x.data, atol=1e-12)
 
@@ -247,8 +247,8 @@ class TestBSBlock:
 
     def test_zeroed_branch_jacobian_is_identity(self):
         block = B.BSBlock("bs", 4, rng=np.random.default_rng(15))
-        block.mlp_out.weight.value.data[:] = 0.0
-        block.mlp_out.bias.value.data[:] = 0.0
+        block.mlp_out.weight.data[:] = 0.0
+        block.mlp_out.bias.data[:] = 0.0
         x = Tensor4(RNG.standard_normal((1, 4, 4, 4)), requires_grad=True)
         proj = Tensor4.const(RNG.standard_normal(x.shape))
         out = T.sum_all(T.mul(block(x), proj))
@@ -270,9 +270,9 @@ class TestGSConv:
     def test_delta_depthwise_interleaves_identical_pairs(self):
         block = B.GSConvBlock("gs", B.GSConvConfig(c_in=4, c_out=6, stride=2),
                               rng=np.random.default_rng(18))
-        w = np.zeros_like(block.dw.weight.value.data)
+        w = np.zeros_like(block.dw.weight.data)
         w[:, 0, 1, 1] = 1.0
-        block.dw.weight.value.data = w
+        block.dw.weight.data = w
         out = block(rand_input((1, 4, 8, 8), seed=18)).data
         np.testing.assert_array_equal(out[:, 0::2], out[:, 1::2])
 
@@ -285,8 +285,8 @@ class TestGSConv:
 class TestGSBottleneck:
     def test_zeroed_second_stage_identity(self):
         block = B.GSBottleneck("gsb", 8, rng=np.random.default_rng(21))
-        block.gs2.cbs.conv.weight.value.data[:] = 0.0
-        block.gs2.dw.weight.value.data[:] = 0.0
+        block.gs2.cbs.conv.weight.data[:] = 0.0
+        block.gs2.dw.weight.data[:] = 0.0
         x = rand_input((2, 8, 5, 5), seed=21)
         np.testing.assert_allclose(block(x, training=False).data, x.data, atol=1e-12)
 
@@ -300,8 +300,8 @@ class TestGSBottleneck:
         x = Tensor4(RNG.standard_normal((1, 4, 5, 5)), requires_grad=True)
         T.backward(T.sum_all(block(x)))
         full_grad = x.grad.copy()
-        block.gs2.cbs.conv.weight.value.data[:] = 0.0
-        block.gs2.dw.weight.value.data[:] = 0.0
+        block.gs2.cbs.conv.weight.data[:] = 0.0
+        block.gs2.dw.weight.data[:] = 0.0
         x.zero_grad()
         T.backward(T.sum_all(block(x)))
         skip_only = x.grad.copy()
@@ -375,7 +375,7 @@ class TestVKConv:
         vk = B.VKConv("vk", 3, 4, rng=np.random.default_rng(25))
         x = rand_input((2, 3, 6, 6), seed=25)
         # offsets are zero-initialized, so sampling sits on the base pattern
-        acc_oracle = naive_fixed_gather(x.data, vk.base, vk.point_w.value.data.reshape(-1))
+        acc_oracle = naive_fixed_gather(x.data, vk.base, vk.point_w.data.reshape(-1))
         out = vk(x, training=False)
         expected = T.silu(vk.bn(vk.project(Tensor4(acc_oracle)), training=False))
         np.testing.assert_allclose(out.data, expected.data, atol=1e-6)
@@ -383,8 +383,8 @@ class TestVKConv:
     def test_doubling_alpha_doubles_displacement(self):
         vk = B.VKConv("vk", 2, 2, rng=np.random.default_rng(26))
         rng = np.random.default_rng(27)
-        vk.offset_conv.weight.value.data = rng.normal(
-            0, 0.5, vk.offset_conv.weight.value.data.shape)
+        vk.offset_conv.weight.data = rng.normal(
+            0, 0.5, vk.offset_conv.weight.data.shape)
         x = rand_input((1, 2, 5, 5), seed=27)
 
         def displacements():
@@ -398,7 +398,7 @@ class TestVKConv:
             return np.array(disp)
 
         d1 = displacements()
-        vk.alpha.value.data = vk.alpha.value.data * 2.0
+        vk.alpha.data = vk.alpha.data * 2.0
         d2 = displacements()
         np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-12)
 
@@ -409,8 +409,8 @@ class TestVKConv:
     def test_gradient(self):
         vk = B.VKConv("vk", 4, 4, rng=np.random.default_rng(29))
         # non-zero offsets so the coordinate gradient path is exercised
-        vk.offset_conv.weight.value.data = np.random.default_rng(30).normal(
-            0, 0.3, vk.offset_conv.weight.value.data.shape)
+        vk.offset_conv.weight.data = np.random.default_rng(30).normal(
+            0, 0.3, vk.offset_conv.weight.data.shape)
         fd_block(vk, rand_input((1, 4, 6, 6), seed=29))
 
     @pytest.mark.parametrize("training", [False, True])
@@ -421,9 +421,9 @@ class TestVKConv:
         vk = B.VKConv("vk", 6, 4, rng=np.random.default_rng(50))
         rng = np.random.default_rng(51)
         for p in vk.parameters():
-            p.value.data = rng.normal(0.0, 1.0, p.value.data.shape)
-        vk.offset_conv.weight.value.data *= 3.0
-        vk.alpha.value.data[:] = B.VK_OFFSET_SCALE
+            p.data = rng.normal(0.0, 1.0, p.data.shape)
+        vk.offset_conv.weight.data *= 3.0
+        vk.alpha.data[:] = B.VK_OFFSET_SCALE
         vk.bn.stats.mean = rng.normal(0.0, 1.0, 4)
         vk.bn.stats.var = rng.uniform(0.2, 3.0, 4)
         x = rand_input((2, 6, 7, 7), seed=52)
@@ -431,7 +431,7 @@ class TestVKConv:
         yx = coords.data.reshape(2, B.VK_POINTS, 2, 7, 7)
         outside = ((yx < 0) | (yx > 6)).any(axis=2).mean()
         assert 0.4 < outside < 0.6
-        sampled = T.bilinear_sample(x, coords, vk.point_w.value)
+        sampled = T.bilinear_sample(x, coords, vk.point_w)
         want = T.silu(vk.bn(vk.project(sampled), training=training))
         np.testing.assert_allclose(vk(x, training=training).data, want.data,
                                    rtol=1e-12, atol=1e-12)
@@ -456,11 +456,11 @@ class TestVKConv:
         vk = B.VKConv("vk", 3, 2, rng=np.random.default_rng(36))
         rng = np.random.default_rng(37)
         for p in (vk.offset_conv.weight, vk.offset_conv.bias, vk.point_w):
-            p.value.data = rng.normal(0, 0.3, p.value.data.shape)
+            p.data = rng.normal(0, 0.3, p.data.shape)
         x = rand_input((2, 3, 5, 5), seed=37)
         proj = Tensor4.const(rng.standard_normal(vk(x).shape))
-        leaves = [vk.point_w.value, vk.alpha.value,
-                  vk.offset_conv.weight.value, vk.offset_conv.bias.value]
+        leaves = [vk.point_w, vk.alpha,
+                  vk.offset_conv.weight, vk.offset_conv.bias]
         report = T.grad_check(lambda *_: T.sum_all(T.mul(vk(x), proj)), leaves,
                               tolerance=1e-5, eps=1e-5)
         assert report.passed, f"max rel err {report.max_rel_error:.2e}"
@@ -532,7 +532,7 @@ class TestFoldBn:
     def randomize(module, seed):
         rng = np.random.default_rng(seed)
         for p in module.parameters():
-            p.value.data = rng.normal(0.0, 1.0, p.value.data.shape)
+            p.data = rng.normal(0.0, 1.0, p.data.shape)
         for m in module.sublayers():
             if isinstance(m, B.BatchNormLayer):
                 m.stats.mean = rng.normal(0.0, 1.0, m.c)
@@ -592,7 +592,7 @@ class TestCheckpoint:
         assert [name for name, _ in blk.state_arrays()] == [
             "gs.cbs.conv.weight", "gs.cbs.bn.gamma", "gs.cbs.bn.beta",
             "gs.cbs.bn.running_mean", "gs.cbs.bn.running_var", "gs.dw.weight"]
-        assert [p.value.name for p in blk.parameters()] == [
+        assert [p.name for p in blk.parameters()] == [
             "gs.cbs.conv.weight", "gs.cbs.bn.gamma", "gs.cbs.bn.beta", "gs.dw.weight"]
 
     def test_own_params_precede_children(self):
@@ -600,7 +600,7 @@ class TestCheckpoint:
         vk = B.VKConv("vk", 2, 2)
         names = ["vk.alpha", "vk.point_w", "vk.offset.weight", "vk.offset.bias",
                  "vk.project.weight", "vk.bn.gamma", "vk.bn.beta"]
-        assert [p.value.name for p in vk.parameters()] == names
+        assert [p.name for p in vk.parameters()] == names
         assert [name for name, _ in vk.state_arrays()] == names + [
             "vk.bn.running_mean", "vk.bn.running_var"]
 

@@ -1,4 +1,4 @@
-"""Ground-truth validation and synthetic scenes: properties over seeds,
+"""Non-finite ground truths and synthetic scenes: properties over seeds,
 equality with a full-frame reference, pinned scene hashes and malformed
 specs."""
 
@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstkit import data
-from irstkit.errors import DataError
+from irstkit import data, detector
+from irstkit.errors import DataError, NumericError
 
 
 @pytest.mark.parametrize("field", range(4))
 def test_ground_truth_with_nan_fails_validation(field):
+    cfg = detector.ModelConfig()
     vals = [0.5, 0.5, 0.1, 0.1]
-    data.GroundTruth(0, *vals).validate()
+    detector.assign_targets([[data.GroundTruth(0, *vals)]], cfg)
     vals[field] = math.nan
-    with pytest.raises(DataError):
-        data.GroundTruth(0, *vals).validate()
+    with pytest.raises(NumericError, match="non-finite box"):
+        detector.assign_targets([[data.GroundTruth(0, *vals)]], cfg)
 
 
 @settings(max_examples=25, deadline=None)
@@ -78,8 +79,6 @@ def reference_scene(spec):
                                        w=2 * half / s, h=2 * half / s))
 
     image = np.clip(image, 0.0, 1.0)
-    for g in labels:
-        g.validate()
     return image, labels
 
 
@@ -170,9 +169,12 @@ def test_benchmark_scenes_keep_their_pinned_bytes(kwargs, seed, image_sha, label
     ("blob_density", dict(blob_density=math.inf)),
     ("blob_density", dict(blob_density=1e19)),
     ("box_sigmas", dict(box_sigmas=math.inf)),
+    ("box_sigmas", dict(box_sigmas=0.0)),
+    ("box_sigmas", dict(box_sigmas=-1.0)),
 ], ids=["size-0", "size-inf", "sigma_range-reversed", "sigma_range-nan", "sigma_range-zero",
         "intensity_range-nan", "gradient_amplitude-nan", "blob_density-negative",
-        "blob_density-inf", "blob_density-too-large", "box_sigmas-inf"])
+        "blob_density-inf", "blob_density-too-large", "box_sigmas-inf", "box_sigmas-zero",
+        "box_sigmas-negative"])
 def test_malformed_scene_spec_raises_data_error_naming_the_field(field, kwargs):
     with pytest.raises(DataError, match=field):
         data.SceneSpec(**kwargs)

@@ -515,22 +515,21 @@ class TestSchedule:
 class TestAdamW:
     def test_quadratic_converges_within_200_steps(self):
         target = 3.0
-        p = T.ParamTensor(value=Tensor4(np.array([[[[10.0]]]]), requires_grad=True))
+        p = Tensor4(np.array([[[[10.0]]]]), requires_grad=True)
         opt = D.AdamW([p])
         for _ in range(200):
-            p.value.zero_grad()
-            x = p.value
-            loss = T.mean_all(T.mul(T.sub(x, target), T.sub(x, target)))
+            p.zero_grad()
+            loss = T.mean_all(T.mul(T.sub(p, target), T.sub(p, target)))
             T.backward(loss)
             opt.step(lr=0.1, beta1=0.9, weight_decay=0.0)
-        assert abs(p.value.item() - target) < 0.05
+        assert abs(p.item() - target) < 0.05
 
     def test_decoupled_weight_decay_shrinks_params(self):
-        p = T.ParamTensor(value=Tensor4(np.array([[[[5.0]]]]), requires_grad=True))
+        p = Tensor4(np.array([[[[5.0]]]]), requires_grad=True)
         opt = D.AdamW([p])
-        p.value.grad = np.zeros_like(p.value.data)
+        p.grad = np.zeros_like(p.data)
         opt.step(lr=0.1, beta1=0.9, weight_decay=0.1)
-        assert p.value.item() == pytest.approx(5.0 * (1 - 0.1 * 0.1))
+        assert p.item() == pytest.approx(5.0 * (1 - 0.1 * 0.1))
 
 
 def micro_config():
@@ -663,9 +662,9 @@ def randomize_bn(model, seed):
     rng = np.random.default_rng(seed)
     for m in model.sublayers():
         if isinstance(m, B.BatchNormLayer):
-            dtype = m.gamma.value.data.dtype
-            m.gamma.value.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
-            m.beta.value.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
+            dtype = m.gamma.data.dtype
+            m.gamma.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
+            m.beta.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
             m.stats.mean = rng.normal(0.0, 0.5, m.c)
             m.stats.var = rng.uniform(0.3, 2.0, m.c)
     return model
@@ -718,8 +717,8 @@ class TestFused:
         assert kept == [f"model.{s}.vk.bn" for s in ("fuse_t4", "fuse_t3", "fuse_m4", "fuse_m5")]
         assert sum(isinstance(m, B.PassThrough) for m in fused.sublayers()) == 29
         # unfolded parameters are shared, folded convs get new arrays
-        assert fused.head0.out.weight.value.data is model.head0.out.weight.value.data
-        assert fused.stem.conv.weight.value.data is not model.stem.conv.weight.value.data
+        assert fused.head0.out.weight.data is model.head0.out.weight.data
+        assert fused.stem.conv.weight.data is not model.stem.conv.weight.data
         assert type(fused.a0) is B.MBConvBlock
 
     def test_original_state_unchanged(self):
@@ -814,9 +813,9 @@ class TestPipelineGradient:
         prng = np.random.default_rng(9)
         for p in prng.choice(len(params), size=12, replace=False):
             param = params[p]
-            flat = param.value.data.reshape(-1)
-            grad = (param.value.grad if param.value.grad is not None
-                    else np.zeros_like(param.value.data)).reshape(-1)
+            flat = param.data.reshape(-1)
+            grad = (param.grad if param.grad is not None
+                    else np.zeros_like(param.data)).reshape(-1)
             for i in prng.choice(flat.size, size=min(3, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
@@ -849,6 +848,19 @@ class TestTrainingDeterminism:
         for a, b in zip(r1, r2):
             assert a == b
 
+    def test_second_train_loop_starts_from_a_fresh_optimizer(self):
+        # the optimizer's moments and step counts do not outlive its loop:
+        # training on further equals training a reloaded copy of the weights
+        cfg = micro_config()
+        images = np.random.default_rng(15).random((4, 1, 32, 32)).astype(np.float32)
+        gts = [[GroundTruth(0, 0.4, 0.4, 0.2, 0.2)] for _ in range(4)]
+        tc = D.TrainConfig(batch=2, epochs=2, warmup_epochs=1, seed=3)
+        model = D.Detector(cfg, init_seed=5, dtype=np.float32)
+        D.train_loop(model, images, gts, tc)
+        reloaded = D.Detector(cfg, init_seed=9, dtype=np.float32)
+        reloaded.load_state(dict(model.state_arrays()))
+        assert D.train_loop(model, images, gts, tc) == D.train_loop(reloaded, images, gts, tc)
+
     def test_log_fn_receives_every_record_in_order(self):
         cfg = micro_config()
         images = np.random.default_rng(13).random((4, 1, 32, 32)).astype(np.float32)
@@ -869,7 +881,7 @@ class TestTrainingDeterminism:
         assert [h.dtype for h in heads] == [np.float32] * 3
         D.train_step(model, D.AdamW(model.parameters()), images, gts, 0, 10, 1,
                      D.TrainConfig(epochs=10), D.LossWeights())
-        grads = [p.value.grad for p in model.parameters()]
+        grads = [p.grad for p in model.parameters()]
         assert len(grads) == 175
         assert all(g is not None and g.dtype == np.float32 for g in grads)
 
@@ -889,7 +901,7 @@ class TestTrainingDeterminism:
         cfg = micro_config()
         model = D.Detector(cfg, init_seed=7, dtype=np.float32)
         for p in model.parameters():
-            p.value.data = p.value.data * np.inf
+            p.data = p.data * np.inf
         images = np.random.default_rng(12).random((1, 1, 32, 32)).astype(np.float32)
         gts = [[GroundTruth(0, 0.5, 0.5, 0.3, 0.3)]]
         opt = D.AdamW(model.parameters())

@@ -703,7 +703,7 @@ class TestSnapshotFormat:
         bits32 = [0x7FC00123, 0xFFC00000, 0x80000000, 0, 0x7F800000, 0xFF800000,
                   1, 0x80000001, 0x7F7FFFFF, 0x3EAAAAAB]
         src = B.BatchNormLayer("bn", 10, dtype=np.float32)
-        src.gamma.value.data = np.array(bits32, dtype=np.uint32).view(np.float32).reshape(1, 10, 1, 1)
+        src.gamma.data = np.array(bits32, dtype=np.uint32).view(np.float32).reshape(1, 10, 1, 1)
         src.stats.mean = np.array([b << 32 | b for b in bits32], dtype=np.uint64).view(np.float64)
         B.save_checkpoint(src, tmp_path / "bn.npz")
         dst = B.BatchNormLayer("bn", 10, dtype=np.float32)
@@ -729,7 +729,7 @@ class TestSnapshotFormat:
         (tmp_path / "not_a_zip.npz").write_bytes(b"XXXX" + b"\x00" * 64)
         with pytest.raises(ParseError):
             B.load_checkpoint(blk, tmp_path / "not_a_zip.npz")
-        member = b"XXXX" + npy_bytes(blk.weight.value.data)[4:]
+        member = b"XXXX" + npy_bytes(blk.weight.data)[4:]
         with pytest.raises(ParseError, match="c.weight.npy"):
             B.load_checkpoint(blk, stored_npz(tmp_path / "bad.npz", {"c.weight.npy": member}))
 
