@@ -135,12 +135,19 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
+# prior probability the class-logit biases start at, so an untrained cell
+# scores about 0.01 rather than 0.5 (Lin et al. 2017, Focal Loss,
+# arXiv:1708.02002 Sec. 4.1; YOLOv8's ``Detect.bias_init``)
+CLASS_PRIOR = 0.01
+
+
 class Head(Module):
-    def __init__(self, name: str, c_in: int, c_out: int, rng, dtype):
+    def __init__(self, name: str, c_in: int, cfg: ModelConfig, rng, dtype):
         super().__init__(name)
         self.stem = ConvBnSilu(f"{name}.stem", c_in, c_in, 3, rng=rng, dtype=dtype)
-        self.out = Conv2dLayer(f"{name}.out", c_in, c_out, 1, bias=True,
+        self.out = Conv2dLayer(f"{name}.out", c_in, cfg.head_channels, 1, bias=True,
                                rng=rng, dtype=dtype)
+        self.out.bias.data[:, :cfg.num_classes] = math.log(CLASS_PRIOR / (1.0 - CLASS_PRIOR))
 
     def forward(self, x, training=False, seed=0):
         return self.out(self.stem(x, training=training))
@@ -182,9 +189,9 @@ class Detector(Module):
                                    GSConvConfig(w3, w3 // 2, stride=2),
                                    rng=rng, dtype=dtype)
         self.fuse_m5 = AVCStem("model.fuse_m5", 2 * w3, w3, rng=rng, dtype=dtype)
-        self.head0 = Head("model.head0", w2, cfg.head_channels, rng, dtype)
-        self.head1 = Head("model.head1", w3, cfg.head_channels, rng, dtype)
-        self.head2 = Head("model.head2", w3, cfg.head_channels, rng, dtype)
+        self.head0 = Head("model.head0", w2, cfg, rng, dtype)
+        self.head1 = Head("model.head1", w3, cfg, rng, dtype)
+        self.head2 = Head("model.head2", w3, cfg, rng, dtype)
         self.dtype = dtype
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> list[Tensor4]:
@@ -381,9 +388,12 @@ def dfl_loss(bin_probs: np.ndarray, target) -> float:
 
 def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
                cfg: ModelConfig, weights: LossWeights = LossWeights()):
-    """Composite objective: weighted sum of classification BCE over all
-    cells and box losses (complete-IoU + focal bin regression) over the
-    positive cells.  Returns (scalar loss tensor, breakdown dict)."""
+    """Composite objective: weighted sum of classification BCE summed over
+    all cells and box losses (complete-IoU + focal bin regression) averaged
+    over the positive cells.  As in YOLOv8's ``v8DetectionLoss``, the BCE
+    sum is divided by the positive count (at least 1), not by the cell
+    count, so a positive's class gradient does not shrink with the grid.
+    Returns (scalar loss tensor, breakdown dict)."""
     ncls, bins = cfg.num_classes, cfg.reg_bins
     dtype = head_outs[0].dtype
     for b, gts in enumerate(batch_gts):
@@ -393,8 +403,8 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
                                 f"{ncls} classes")
 
     # classification over every cell of every scale
+    n_pos = assignment.num_positives()
     bce_sum = None
-    n_elems = 0
     for scale, out in enumerate(head_outs):
         n, _, gh, gw = out.shape
         logits = T.slice_channels(out, 0, ncls)
@@ -403,13 +413,11 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
             y[b, batch_gts[b][gi].class_id, gy, gx] = 1.0
         s = T.sum_all(_bce_terms(logits, Tensor4.const(y)))
         bce_sum = s if bce_sum is None else T.add(bce_sum, s)
-        n_elems += y.size
-    bce = T.mul(bce_sum, 1.0 / n_elems)
+    bce = T.mul(bce_sum, 1.0 / max(n_pos, 1))
 
     # regression over positive cells, per scale
     ciou_sum = None
     dfl_sum = None
-    n_pos = 0
     n_clamped = 0
     bin_idx = Tensor4.const(np.arange(bins, dtype=dtype).reshape(1, bins, 1, 1))
     for scale, out in enumerate(head_outs):
@@ -419,7 +427,6 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
         stride = cfg.strides[scale]
         keys = sorted(cells.keys())
         p = len(keys)
-        n_pos += p
         boxes = (gt_to_box(batch_gts[b][cells[(b, gy, gx)]], cfg.input_size)
                  for (b, gy, gx) in keys)
         corners = np.array([(g.x1, g.y1, g.x2, g.y2) for g in boxes]).T  # (4, p)
@@ -463,6 +470,8 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
     ciou = T.mul(ciou_sum, 1.0 / n_pos) if ciou_sum is not None else zero
     dfl = T.mul(dfl_sum, 1.0 / (4 * n_pos)) if dfl_sum is not None else zero
 
+    # the paper's 0.02/0.49/0.49 weights sit on YOLOv8's loss, whose BCE
+    # is normalised by the positive count as above
     total = T.add(T.add(T.mul(bce, weights.lam_bce), T.mul(ciou, weights.lam_ciou)),
                   T.mul(dfl, weights.lam_dfl))
     breakdown = {
@@ -481,26 +490,23 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
 # ---------------------------------------------------------------------------
 
 
-# IoU rows per block in ``_nms``: an untrained 640 px head passes all 8400
-# cells, whose full IoU matrix alone would take 560 MB
+# IoU rows per block in ``_nms``: a 640 px head whose 8400 cells all pass the
+# threshold would need 560 MB for the full IoU matrix alone
 NMS_BLOCK = 1024
 
 # ``decode`` suppresses a box whose IoU with a kept box of its class reaches this
 NMS_IOU = 0.45
 
 
-def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
-    """Greedy NMS over one image's detections of one class: in stable
-    descending-score order, keep each box whose IoU with every kept box is
-    below ``nms_iou``."""
+def _nms(boxes: np.ndarray, nms_iou: float) -> list[int]:
+    """Greedy NMS over one image's boxes of one class, given as an (n, 4)
+    float64 array of (x1, y1, x2, y2) rows in descending-score order: keep
+    each row whose IoU with every kept row is below ``nms_iou``.  Returns
+    the kept row indices in order."""
     # bench/spans.py wraps this function by name and parameter list
-    # a stable argsort of the negated scores: ties keep their input order
-    order = np.argsort(-np.array([d.score for d in dets], dtype=np.float64), kind="stable")
-    boxes = np.array([(b.x1, b.y1, b.x2, b.y2) for b in (d.box for d in dets)],
-                     dtype=np.float64).reshape(-1, 4)[order]
     keep: list[int] = []
-    for lo in range(0, len(dets), NMS_BLOCK):
-        hi = min(lo + NMS_BLOCK, len(dets))
+    for lo in range(0, len(boxes), NMS_BLOCK):
+        hi = min(lo + NMS_BLOCK, len(boxes))
         clash = metrics.iou_matrix(boxes[lo:hi], boxes[:hi]) >= nms_iou
         # bit i of ``dead`` marks row lo + i suppressed; a kept row ORs in its
         # whole clash row at once, so suppression stays bit-parallel
@@ -515,23 +521,22 @@ def _nms(dets: list[Detection], nms_iou: float) -> list[Detection]:
             if not dead >> i & 1:
                 keep.append(lo + i)
                 dead |= int.from_bytes(flat[i * width:(i + 1) * width], "little")
-    order = order.tolist()
-    return [dets[order[k]] for k in keep]
+    return keep
 
 
 def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list[Detection]]:
     """Head outputs to per-image detections: sigmoid class scores, score
     threshold, bin expectations to box sides for the passing cells, then
     greedy per-class NMS at ``NMS_IOU``.  Detections come back sorted by
-    descending score."""
+    descending score; only the boxes NMS keeps become objects."""
     if not 0.0 < score_thresh < 1.0:
         raise ConfigError(f"score_thresh must lie in (0, 1), got {score_thresh}")
     ncls, bins = cfg.num_classes, cfg.reg_bins
     arange = np.arange(bins)
     outs = [o.data if isinstance(o, Tensor4) else np.asarray(o) for o in head_outs]
     n = outs[0].shape[0]
-    # per image and class, candidates in (scale, row, column) order
-    raw: list[list[list[Detection]]] = [[[] for _ in range(ncls)] for _ in range(n)]
+    # candidates in (scale, row, column) order within each image and class
+    cands = []
     for scale, out in enumerate(outs):
         stride = cfg.strides[scale]
         scores = T._logistic(out[:, :ncls])
@@ -546,19 +551,20 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list
         dist = np.einsum("bks,b->ks", probs, arange) * stride
         cx = (xs + 0.5) * stride
         cy = (ys + 0.5) * stride
-        x1, y1 = (cx - dist[:, 0]).tolist(), (cy - dist[:, 1]).tolist()
-        x2, y2 = (cx + dist[:, 2]).tolist(), (cy + dist[:, 3]).tolist()
-        cand_scores = scores[bs, cs, ys, xs].tolist()
-        for k, (b, cls) in enumerate(zip(bs.tolist(), cs.tolist())):
-            raw[b][cls].append(Detection(class_id=cls, score=cand_scores[k],
-                                         box=Box(x1[k], y1[k], x2[k], y2[k]), image_id=b))
-    result = []
-    for per_class in raw:
-        kept: list[Detection] = []
-        for cands in per_class:
-            if cands:
-                kept.extend(_nms(cands, NMS_IOU))
-        result.append(sorted(kept, key=lambda d: -d.score))
+        box = np.column_stack((cx - dist[:, 0], cy - dist[:, 1], cx + dist[:, 2], cy + dist[:, 3]))
+        cands.append((bs, cs, scores[bs, cs, ys, xs], box))
+    img, cls, score, boxes = map(np.concatenate, zip(*cands))
+    # one stable descending-score order per (image, class) group
+    order = np.lexsort((-score, cls, img))
+    group = (img * ncls + cls)[order]
+    groups = np.split(order, np.flatnonzero(np.diff(group)) + 1) if len(order) else []
+    kept = np.concatenate([rows[_nms(boxes[rows], NMS_IOU)] for rows in groups] or [order])
+    # per image by descending score; ties keep class order, then NMS order
+    kept = kept[np.lexsort((-score[kept], img[kept]))]
+    result: list[list[Detection]] = [[] for _ in range(n)]
+    for b, c, s, (x1, y1, x2, y2) in zip(img[kept].tolist(), cls[kept].tolist(),
+                                         score[kept].tolist(), boxes[kept].tolist()):
+        result[b].append(Detection(class_id=c, score=s, box=Box(x1, y1, x2, y2), image_id=b))
     return result
 
 
