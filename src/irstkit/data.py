@@ -10,6 +10,7 @@ live in memory: the toolkit reads and writes no dataset files.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,9 @@ class GroundTruth:
 class SceneSpec:
     """What ``generate_scene`` draws; every number must be finite.
 
-    - ``size``: frame side in pixels, >= 1.
+    - ``size``: frame side in pixels, an integer >= 1.
     - ``min_targets``, ``max_targets``: the target count is drawn
-      uniformly from this inclusive range; 0 <= min <= max.
+      uniformly from this inclusive range of integers; 0 <= min <= max.
     - ``intensity_range``: peak gray level added by a target;
       0 <= low <= high <= 1.
     - ``sigma_range``: target Gaussian sigma in pixels; 0 < low <= high.
@@ -54,7 +55,7 @@ class SceneSpec:
       the frame; any finite value.
     - ``blob_density``: expected number of clutter blobs, in [0, 9e18].
     - ``box_sigmas``: label box half-extent in target sigmas, > 0.
-    - ``seed``: seed of the scene's random generator.
+    - ``seed``: seed of the scene's random generator, an integer >= 0.
     """
 
     size: int = 96
@@ -73,6 +74,9 @@ class SceneSpec:
             value = getattr(self, name)
             if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
                 raise DataError(f"{name} must be finite, got {value!r}")
+        for name in ("size", "min_targets", "max_targets", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.size < 1:
             raise DataError(f"size must be >= 1, got {self.size}")
         if not 0 < self.sigma_range[0] <= self.sigma_range[1]:
@@ -86,6 +90,8 @@ class SceneSpec:
             raise DataError(f"blob_density must lie in [0, 9e18], got {self.blob_density}")
         if self.box_sigmas <= 0:
             raise DataError(f"box_sigmas must be > 0, got {self.box_sigmas}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 MAX_PLACEMENT_ATTEMPTS = 100

@@ -12,7 +12,6 @@ sides are decoded as bin-distribution expectations times the stride.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +33,6 @@ from .blocks import (
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import Box, Detection
 from .tensor import Tensor4
-
-LOG_EPS = 1e-7  # probability clamp in bce_loss and dfl_loss; total_loss works on logits
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +115,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # each check written as "not inside" so a NaN fails it
+        if not self.epochs >= 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.lr0) and self.lr0 > 0):
             raise ConfigError(f"lr0 must be finite and > 0, got {self.lr0}")
         if not 0 <= self.beta2 < 1:
@@ -128,6 +127,8 @@ class TrainConfig:
             raise ConfigError(f"warmup_epochs {self.warmup_epochs} exceeds epochs {self.epochs}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +295,6 @@ def _bce_terms(logits: Tensor4, y: Tensor4) -> Tensor4:
                  T.mul(T.sub(1.0, y), T.softplus(logits)))
 
 
-def bce_loss(p, y) -> Tensor4:
-    """Mean binary cross-entropy over all elements; probabilities are
-    clamped to [1e-7, 1 - 1e-7] and scored as logits by ``_bce_terms``."""
-    p = p if isinstance(p, Tensor4) else Tensor4.const(np.asarray(p, dtype=np.float64).reshape(1, 1, 1, -1))
-    y = y if isinstance(y, Tensor4) else Tensor4.const(np.asarray(y, dtype=np.float64).reshape(1, 1, 1, -1))
-    pc = T.clamp(p, LOG_EPS, 1.0 - LOG_EPS)
-    return T.mean_all(_bce_terms(T.sub(T.log(pc), T.log(T.sub(1.0, pc))), y))
-
-
 def _ciou_terms(px1, py1, px2, py2, gx1, gy1, gx2, gy2) -> Tensor4:
     """Per-row complete-IoU loss: 1 - IoU + center-distance and aspect terms."""
     ix = T.clamp(T.sub(T.minimum(px2, gx2), T.maximum(px1, gx1)), 0.0, None)
@@ -331,19 +323,6 @@ def _ciou_terms(px1, py1, px2, py2, gx1, gy1, gx2, gy2) -> Tensor4:
     return T.add(T.add(T.sub(1.0, iou), T.div(d2, c2)), T.mul(alpha, v))
 
 
-def ciou_loss(pred: Box, gt: Box) -> float:
-    """Complete-IoU loss between two boxes (scalar convenience form)."""
-    if gt.area <= 0.0:
-        raise NumericError(f"degenerate zero-area ground-truth box {gt}")
-
-    def c(v):
-        return Tensor4.const(np.full((1, 1, 1, 1), v, dtype=np.float64))
-
-    out = _ciou_terms(c(pred.x1), c(pred.y1), c(pred.x2), c(pred.y2),
-                      c(gt.x1), c(gt.y1), c(gt.x2), c(gt.y2))
-    return out.item()
-
-
 DFL_ALPHA = 0.25
 DFL_GAMMA = 2.0
 
@@ -369,23 +348,6 @@ def _dfl_terms(probs: Tensor4, log_probs: Tensor4, targets: np.ndarray) -> Tenso
     return term
 
 
-def dfl_loss(bin_probs: np.ndarray, target) -> float:
-    """Mean ``_dfl_terms`` penalty over all leading dimensions of the bin
-    probabilities.  Targets outside [0, bins - 1] are clamped (with a
-    warning).  Each p is clamped at LOG_EPS before the log, so this matches
-    the DFL term of ``total_loss`` (which uses the unclamped log-softmax)
-    only where every gathered p >= LOG_EPS."""
-    probs = np.asarray(bin_probs, dtype=np.float64)
-    bins = probs.shape[-1]
-    flat = np.clip(probs.reshape(-1, bins), LOG_EPS, 1.0)
-    t = np.broadcast_to(np.asarray(target, dtype=np.float64).reshape(-1), flat.shape[:1])
-    n_clamped = int(np.count_nonzero((t < 0) | (t > bins - 1)))
-    if n_clamped:
-        warnings.warn(f"{n_clamped} regression targets clamped into [0, {bins - 1}]")
-    pc = Tensor4.const(flat.reshape(-1, bins, 1, 1))
-    return T.mean_all(_dfl_terms(pc, T.log(pc), np.clip(t, 0.0, bins - 1.0))).item()
-
-
 def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
                cfg: ModelConfig, weights: LossWeights = LossWeights()):
     """Composite objective: weighted sum of classification BCE summed over
@@ -402,28 +364,23 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
                 raise DataError(f"image {b}: class id {g.class_id} outside the model's "
                                 f"{ncls} classes")
 
-    # classification over every cell of every scale
     n_pos = assignment.num_positives()
-    bce_sum = None
-    for scale, out in enumerate(head_outs):
-        n, _, gh, gw = out.shape
-        logits = T.slice_channels(out, 0, ncls)
-        y = np.zeros((n, ncls, gh, gw), dtype=dtype)
-        for (b, gy, gx), gi in assignment.per_scale[scale].items():
-            y[b, batch_gts[b][gi].class_id, gy, gx] = 1.0
-        s = T.sum_all(_bce_terms(logits, Tensor4.const(y)))
-        bce_sum = s if bce_sum is None else T.add(bce_sum, s)
-    bce = T.mul(bce_sum, 1.0 / max(n_pos, 1))
-
-    # regression over positive cells, per scale
-    ciou_sum = None
-    dfl_sum = None
+    bce_sum = ciou_sum = dfl_sum = None
     n_clamped = 0
     bin_idx = Tensor4.const(np.arange(bins, dtype=dtype).reshape(1, bins, 1, 1))
     for scale, out in enumerate(head_outs):
+        # classification over every cell
+        n, _, gh, gw = out.shape
         cells = assignment.per_scale[scale]
+        y = np.zeros((n, ncls, gh, gw), dtype=dtype)
+        for (b, gy, gx), gi in cells.items():
+            y[b, batch_gts[b][gi].class_id, gy, gx] = 1.0
+        s = T.sum_all(_bce_terms(T.slice_channels(out, 0, ncls), Tensor4.const(y)))
+        bce_sum = s if bce_sum is None else T.add(bce_sum, s)
         if not cells:
             continue
+
+        # regression over the positive cells
         stride = cfg.strides[scale]
         keys = sorted(cells.keys())
         p = len(keys)
@@ -436,36 +393,30 @@ def total_loss(head_outs: list[Tensor4], assignment: Assignment, batch_gts,
         def const(v):
             return Tensor4.const(v.reshape(p, 1, 1, 1).astype(dtype))
 
-        reg = T.slice_channels(out, ncls, ncls + 4 * bins)
-        cols = T.gather_cells(reg, idx)  # (p, 4*bins, 1, 1)
-        cx, cy = const(centers[0]), const(centers[1])
+        # each side's ltrb/stride target, for the focal penalty on its floor/ceil bins
+        raw_targets = np.concatenate([centers - corners[:2], corners[2:] - centers]) / stride
+        n_clamped += int(np.count_nonzero((raw_targets < 0) | (raw_targets > bins - 1)))
+        targets = np.clip(raw_targets, 0.0, bins - 1.0)
 
+        cols = T.gather_cells(out, idx)  # (p, ncls + 4*bins, 1, 1)
         dists = []
-        side_probs = []
-        side_log_probs = []
         for side in range(4):
-            logits = T.slice_channels(cols, side * bins, (side + 1) * bins)
+            lo = ncls + side * bins
+            logits = T.slice_channels(cols, lo, lo + bins)
             probs = T.softmax_channels(logits)
-            side_probs.append(probs)
-            side_log_probs.append(T.log_softmax_channels(logits))
-            expect = T.sum_channels(T.mul(probs, bin_idx))
-            dists.append(T.mul(expect, float(stride)))
+            dists.append(T.mul(T.sum_channels(T.mul(probs, bin_idx)), float(stride)))
+            s = T.sum_all(_dfl_terms(probs, T.log_softmax_channels(logits), targets[side]))
+            dfl_sum = s if dfl_sum is None else T.add(dfl_sum, s)
         left, top, right, bottom = dists
 
+        cx, cy = const(centers[0]), const(centers[1])
         losses = _ciou_terms(T.sub(cx, left), T.sub(cy, top),
                              T.add(cx, right), T.add(cy, bottom),
                              *(const(c) for c in corners))
         s = T.sum_all(losses)
         ciou_sum = s if ciou_sum is None else T.add(ciou_sum, s)
 
-        # focal penalty on the floor/ceil bins of each side's ltrb/stride target
-        raw_targets = np.concatenate([centers - corners[:2], corners[2:] - centers]) / stride
-        n_clamped += int(np.count_nonzero((raw_targets < 0) | (raw_targets > bins - 1)))
-        targets = np.clip(raw_targets, 0.0, bins - 1.0)
-        for side in range(4):
-            s = T.sum_all(_dfl_terms(side_probs[side], side_log_probs[side], targets[side]))
-            dfl_sum = s if dfl_sum is None else T.add(dfl_sum, s)
-
+    bce = T.mul(bce_sum, 1.0 / max(n_pos, 1))
     zero = Tensor4.const(np.zeros((1, 1, 1, 1), dtype=dtype))
     ciou = T.mul(ciou_sum, 1.0 / n_pos) if ciou_sum is not None else zero
     dfl = T.mul(dfl_sum, 1.0 / (4 * n_pos)) if dfl_sum is not None else zero
@@ -685,6 +636,8 @@ def train_loop(model: Detector, images: np.ndarray, gts, tcfg: TrainConfig,
     configs and data give identical loss records.
     """
     n = images.shape[0]
+    if len(gts) != n:
+        raise DataError(f"{len(gts)} label lists for {n} images")
     steps_per_epoch = max(1, math.ceil(n / tcfg.batch))
     total_steps = tcfg.epochs * steps_per_epoch
     optimizer = AdamW(model.parameters(), beta2=tcfg.beta2)

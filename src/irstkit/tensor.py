@@ -118,33 +118,6 @@ class Tensor4:
         tag = f" '{self.name}'" if self.name else ""
         return f"Tensor4{tag}{self.shape} dtype={self.data.dtype}"
 
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 # ---------------------------------------------------------------------------
 # Graph plumbing
@@ -474,10 +447,6 @@ def sum_all(x: Tensor4) -> Tensor4:
         return (np.broadcast_to(g, x.data.shape),)
 
     return _make(out, "sum_all", (x,), back)
-
-
-def mean_all(x: Tensor4) -> Tensor4:
-    return mul(sum_all(x), 1.0 / x.data.size)
 
 
 def sum_channels(x: Tensor4) -> Tensor4:

@@ -171,13 +171,28 @@ def test_benchmark_scenes_keep_their_pinned_bytes(kwargs, seed, image_sha, label
     ("box_sigmas", dict(box_sigmas=math.inf)),
     ("box_sigmas", dict(box_sigmas=0.0)),
     ("box_sigmas", dict(box_sigmas=-1.0)),
+    ("seed", dict(seed=-1)),
+    ("seed", dict(seed=1.5)),
+    ("size", dict(size=32.5)),
+    ("min_targets", dict(min_targets=1.5)),
+    ("max_targets", dict(max_targets=2.5)),
 ], ids=["size-0", "size-inf", "sigma_range-reversed", "sigma_range-nan", "sigma_range-zero",
         "intensity_range-nan", "gradient_amplitude-nan", "blob_density-negative",
         "blob_density-inf", "blob_density-too-large", "box_sigmas-inf", "box_sigmas-zero",
-        "box_sigmas-negative"])
+        "box_sigmas-negative", "seed-negative", "seed-fractional", "size-fractional",
+        "min_targets-fractional", "max_targets-fractional"])
 def test_malformed_scene_spec_raises_data_error_naming_the_field(field, kwargs):
     with pytest.raises(DataError, match=field):
         data.SceneSpec(**kwargs)
+
+
+def test_numpy_integer_fields_draw_the_same_scene():
+    spec = data.SceneSpec(size=np.int64(48), min_targets=np.int32(1), max_targets=np.uint8(2),
+                          seed=np.int64(3))
+    image, labels = data.generate_scene(spec)
+    want_image, want_labels = data.generate_scene(
+        data.SceneSpec(size=48, min_targets=1, max_targets=2, seed=3))
+    assert image.tobytes() == want_image.tobytes() and labels == want_labels
 
 
 # the box fits some draws and not others, so only the draw can tell

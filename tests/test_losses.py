@@ -1,4 +1,5 @@
-"""Loss functions: scalar oracles, invariants, and composite-loss wiring."""
+"""Losses: hand cases and invariants of the in-graph BCE, CIoU and DFL terms,
+``total_loss`` against numpy oracles, and the composite-loss wiring."""
 
 import copy
 import math
@@ -17,37 +18,58 @@ from irstkit.metrics import Box, Detection
 from irstkit.tensor import Tensor4
 
 
+def bce(logits, labels):
+    """``_bce_terms`` per element of logits against 0/1 labels, and the
+    gradient of their sum with respect to the logits."""
+    z = Tensor4(np.asarray(logits, dtype=np.float64).reshape(1, 1, 1, -1), requires_grad=True)
+    y = Tensor4.const(np.asarray(labels, dtype=np.float64).reshape(1, 1, 1, -1))
+    terms = D._bce_terms(z, y)
+    T.backward(T.sum_all(terms))
+    return terms.data.ravel(), z.grad.ravel()
+
+
+def logit(p):
+    return math.log(p / (1.0 - p))
+
+
 class TestBCE:
     def test_perfect_positive_tends_to_zero(self):
-        v = D.bce_loss(np.array([1.0 - 1e-9]), np.array([1.0])).item()
+        (v,), _ = bce([logit(1.0 - 1e-9)], [1.0])
         assert v == pytest.approx(0.0, abs=1e-6)
 
     def test_perfect_negative_tends_to_zero(self):
-        v = D.bce_loss(np.array([1e-9]), np.array([0.0])).item()
+        (v,), _ = bce([logit(1e-9)], [0.0])
         assert v == pytest.approx(0.0, abs=1e-6)
 
     def test_half_probability_is_ln2(self):
-        v = D.bce_loss(np.array([0.5]), np.array([1.0])).item()
+        (v,), _ = bce([0.0], [1.0])
         assert v == pytest.approx(math.log(2.0), abs=1e-9)
 
-    def test_mean_reduction(self):
-        v = D.bce_loss(np.array([0.5, 0.5]), np.array([1.0, 0.0])).item()
-        assert v == pytest.approx(math.log(2.0), abs=1e-12)
+    def test_terms_are_per_element(self):
+        terms, _ = bce([0.0, 0.0], [1.0, 0.0])
+        assert terms == pytest.approx([math.log(2.0)] * 2, abs=1e-12)
 
-    def test_clamp_keeps_loss_finite(self):
-        v = D.bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0])).item()
-        assert math.isfinite(v)
+    def test_saturated_logits_keep_loss_finite_and_gradient_alive(self):
+        # confidently wrong cells: the loss is |z| and d/dz is sigmoid(z) - y
+        terms, grad = bce([-800.0, 800.0], [1.0, 0.0])
+        assert terms == pytest.approx([800.0, 800.0], rel=1e-12)
+        assert grad.tolist() == [-1.0, 1.0]
 
     def test_monotone_decreasing_in_p_for_positive_label(self):
-        vals = [D.bce_loss(np.array([p]), np.array([1.0])).item()
-                for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        vals = [bce([logit(p)], [1.0])[0][0] for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def ciou(pred: Box, gt: Box) -> float:
+    """``_ciou_terms`` of one predicted and one ground-truth box."""
+    sides = (pred.x1, pred.y1, pred.x2, pred.y2, gt.x1, gt.y1, gt.x2, gt.y2)
+    return D._ciou_terms(*(Tensor4.const(np.full((1, 1, 1, 1), v)) for v in sides)).item()
 
 
 class TestCIoU:
     def test_identical_boxes_zero(self):
         b = Box(1.0, 2.0, 4.0, 7.0)
-        assert D.ciou_loss(b, b) == 0.0
+        assert ciou(b, b) == 0.0
 
     def test_thousand_random_self_pairs_zero(self):
         rng = np.random.default_rng(42)
@@ -55,31 +77,30 @@ class TestCIoU:
             x1, y1 = rng.uniform(-50, 50, 2)
             w, h = rng.uniform(0.1, 30, 2)
             b = Box(x1, y1, x1 + w, y1 + h)
-            assert D.ciou_loss(b, b) == 0.0
+            assert ciou(b, b) == 0.0
 
     def test_equal_aspect_ratio_kills_v_term(self):
         # same shape shifted: loss must equal 1 - IoU + d^2/c^2 exactly
         a = Box(0.0, 0.0, 4.0, 2.0)
         b = a.shifted(1.0, 0.5)
-        from irstkit.metrics import iou
-        inter_iou = iou(a, b)
+        inter_iou = M.iou(a, b)
         d2 = 1.0 ** 2 + 0.5 ** 2
         c2 = (5.0) ** 2 + (2.5) ** 2
-        assert D.ciou_loss(a, b) == pytest.approx(1 - inter_iou + d2 / c2, abs=1e-12)
+        assert ciou(a, b) == pytest.approx(1 - inter_iou + d2 / c2, abs=1e-12)
 
     def test_disjoint_unit_squares_hand_case(self):
         a = Box.from_center(0.0, 0.0, 1.0, 1.0)
         b = Box.from_center(2.0, 0.0, 1.0, 1.0)
-        assert D.ciou_loss(a, b) == pytest.approx(1.4, abs=1e-9)
+        assert ciou(a, b) == pytest.approx(1.4, abs=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = Box.from_center(*rng.uniform(1, 5, 2), *rng.uniform(0.5, 3, 2))
             b = Box.from_center(*rng.uniform(1, 5, 2), *rng.uniform(0.5, 3, 2))
-            base = D.ciou_loss(a, b)
+            base = ciou(a, b)
             dx, dy = rng.uniform(-10, 10, 2)
-            shifted = D.ciou_loss(a.shifted(dx, dy), b.shifted(dx, dy))
+            shifted = ciou(a.shifted(dx, dy), b.shifted(dx, dy))
             assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
     def test_nonnegative_and_term_ranges(self):
@@ -87,36 +108,42 @@ class TestCIoU:
         for _ in range(200):
             a = Box.from_center(*rng.uniform(0, 10, 2), *rng.uniform(0.2, 5, 2))
             b = Box.from_center(*rng.uniform(0, 10, 2), *rng.uniform(0.2, 5, 2))
-            assert D.ciou_loss(a, b) >= 0.0
+            assert ciou(a, b) >= 0.0
             # the center-distance ratio stays below 1 by the enclosing-box bound
             d2 = (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2
             ex = max(a.x2, b.x2) - min(a.x1, b.x1)
             ey = max(a.y2, b.y2) - min(a.y1, b.y1)
             assert 0.0 <= d2 / (ex * ex + ey * ey) < 1.0
 
-    def test_degenerate_gt_rejected(self):
-        with pytest.raises(NumericError):
-            D.ciou_loss(Box(0, 0, 1, 1), Box(2, 2, 2, 5))
-
     def test_zero_area_prediction_is_finite(self):
-        v = D.ciou_loss(Box(1, 1, 1, 1), Box(0, 0, 2, 2))
+        v = ciou(Box(1, 1, 1, 1), Box(0, 0, 2, 2))
         assert math.isfinite(v) and v > 0
+
+
+def dfl(probs, target: float) -> float:
+    """``_dfl_terms`` of one box side whose bin softmax is ``probs``, fed as
+    ``total_loss`` feeds it: the softmax and log-softmax of the bin logits."""
+    p = np.asarray(probs, dtype=np.float64).reshape(1, -1, 1, 1)
+    # a zero probability becomes a logit whose softmax is exactly 0
+    logits = Tensor4.const(np.log(p, out=np.full_like(p, -800.0), where=p > 0))
+    return D._dfl_terms(T.softmax_channels(logits), T.log_softmax_channels(logits),
+                        np.array([target])).item()
 
 
 class TestDFL:
     def test_perfect_integer_bin_zero(self):
         probs = np.array([0.0, 1.0, 0.0, 0.0])
-        assert D.dfl_loss(probs, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert dfl(probs, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_confident_bin_focal_value(self):
         # -alpha (1 - p)^gamma log p at alpha 0.25, gamma 2
         probs = np.array([0.2, 0.8])
-        v = D.dfl_loss(probs, 1.0)
+        v = dfl(probs, 1.0)
         assert v == pytest.approx(-0.25 * 0.2 ** 2 * math.log(0.8), abs=1e-12)
 
     def test_half_probability_focal_value(self):
         probs = np.array([0.5, 0.5])
-        v = D.dfl_loss(probs, 0.0)
+        v = dfl(probs, 0.0)
         assert v == pytest.approx(0.0625 * math.log(2.0), abs=1e-12)
 
     def test_fractional_target_interpolates(self):
@@ -127,18 +154,12 @@ class TestDFL:
             return -0.25 * (1 - p) ** 2 * math.log(p)
 
         expected = 0.75 * focal(0.5) + 0.25 * focal(0.5)
-        assert D.dfl_loss(probs, t) == pytest.approx(expected, abs=1e-12)
-
-    def test_out_of_range_target_clamped_with_warning(self):
-        probs = np.array([0.9, 0.1])
-        with pytest.warns(UserWarning, match="clamped"):
-            v = D.dfl_loss(probs, -2.0)
-        assert v == pytest.approx(D.dfl_loss(probs, 0.0))
+        assert dfl(probs, t) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_decreasing_in_p_at_integer_target(self):
         vals = []
         for p in (0.2, 0.4, 0.6, 0.8, 0.95):
-            vals.append(D.dfl_loss(np.array([p, 1 - p]), 0.0))
+            vals.append(dfl(np.array([p, 1 - p]), 0.0))
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -193,6 +214,25 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             D.LossWeights(-0.1, 0.5, 0.5)
 
+    def test_clamped_targets_counts_the_clipped_sides(self):
+        cfg = D.ModelConfig(input_size=512)
+        # a 2 px box whose cell centre (12, 12) lies right of and below it,
+        # and a 480 px box whose left and top sides lie 8 strides from its
+        # cell centre (272, 272), past the last bin; its right and bottom
+        # sides lie exactly 7 strides away, on the last bin
+        gts = [[GroundTruth(0, 10 / 512, 10 / 512, 2 / 512, 2 / 512)],
+               [GroundTruth(0, 0.5, 0.5, 480 / 512, 480 / 512)]]
+        asg = D.assign_targets(gts, cfg)
+        rng = np.random.default_rng(6)
+        outs = [Tensor4(rng.standard_normal((2, cfg.head_channels, cfg.head_grid(s),
+                                             cfg.head_grid(s)))) for s in range(3)]
+        _, bd = D.total_loss(outs, asg, gts, cfg)
+        logits, targets, _ = _dfl_rows([o.data for o in outs], asg, gts, cfg)
+        clipped = np.count_nonzero((targets < 0) | (targets > cfg.reg_bins - 1))
+        assert bd["clamped_targets"] == clipped == 4
+        # the DFL term scores the clipped targets
+        assert bd["dfl"] == pytest.approx(_dfl_oracle(logits, targets), rel=1e-12)
+
     @pytest.mark.parametrize("class_id", [5, 1, -1])
     def test_class_id_outside_model_classes_raises(self, class_id):
         cfg = D.ModelConfig()
@@ -204,7 +244,7 @@ class TestTotalLoss:
 
 def _dfl_rows(head_data, asg, gts, cfg):
     """Numpy reading of the DFL inputs: per positive cell and side, the bin
-    logits, the clipped ltrb/stride target and the logit's index in the head."""
+    logits, the unclipped ltrb/stride target and the logit's index in the head."""
     ncls, bins = cfg.num_classes, cfg.reg_bins
     logits, targets, where = [], [], []
     for scale, cells in enumerate(asg.per_scale):
@@ -216,9 +256,26 @@ def _dfl_rows(head_data, asg, gts, cfg):
             for side, dist in enumerate(ltrb):
                 ch = ncls + side * bins
                 logits.append(head_data[scale][b, ch:ch + bins, gy, gx])
-                targets.append(min(max(dist / stride, 0.0), bins - 1.0))
+                targets.append(dist / stride)
                 where.append((scale, b, ch, gy, gx))
     return np.array(logits), np.array(targets), where
+
+
+def _dfl_oracle(logits, targets):
+    """Mean over rows of the focal bin penalty: each target, clipped into
+    [0, bins - 1], puts -alpha (1 - p)^gamma log p on its floor and ceil
+    bins, weighted linearly by the fractional position."""
+    bins = logits.shape[1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    t = np.clip(targets, 0.0, bins - 1.0)
+    lo = np.floor(t).astype(int)
+    rows = np.arange(len(t))
+
+    def focal(k):
+        return -D.DFL_ALPHA * (1.0 - np.exp(log_p[rows, k])) ** D.DFL_GAMMA * log_p[rows, k]
+
+    return np.mean((1.0 - (t - lo)) * focal(lo) + (t - lo) * focal(np.minimum(lo + 1, bins - 1)))
 
 
 class TestDFLParity:
@@ -227,17 +284,9 @@ class TestDFLParity:
         outs, asg, gts = _toy_batch(cfg)
         assert outs[0].dtype == np.float64
         _, bd = D.total_loss(outs, asg, gts, cfg, D.LossWeights(0.0, 0.0, 1.0))
-
         logits, targets, _ = _dfl_rows([o.data for o in outs], asg, gts, cfg)
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
-        lo = np.floor(targets).astype(int)
-        hi = np.minimum(lo + 1, cfg.reg_bins - 1)
-        rows = np.arange(len(targets))
-        # the oracle clamps p at LOG_EPS; the in-graph term does not
-        assert min(probs[rows, lo].min(), probs[rows, hi].min()) >= D.LOG_EPS
         assert len(targets) == 4 * bd["n_pos"] > 0
-        assert bd["dfl"] == pytest.approx(D.dfl_loss(probs, targets), rel=0, abs=1e-12)
+        assert bd["dfl"] == pytest.approx(_dfl_oracle(logits, targets), rel=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gradient_survives_underflowed_target_bin(self, dtype):
@@ -248,6 +297,7 @@ class TestDFLParity:
         data = [rng.standard_normal((1, cfg.head_channels, cfg.head_grid(s),
                                      cfg.head_grid(s))).astype(dtype) for s in range(3)]
         logits, targets, where = _dfl_rows(data, asg, gts, cfg)
+        assert 0.0 <= targets[0] <= cfg.reg_bins - 1
         lo = int(np.floor(targets[0]))
         scale, b, ch, gy, gx = where[0]
         data[scale][b, ch + lo, gy, gx] = logits[0].max() - 800.0
@@ -267,7 +317,7 @@ class TestDFLParity:
 
 
 class TestBCEParity:
-    def test_in_graph_bce_matches_scalar_helper(self):
+    def test_in_graph_bce_matches_numpy_oracle(self):
         cfg = D.ModelConfig()
         outs, asg, gts = _toy_batch(cfg)
         _, bd = D.total_loss(outs, asg, gts, cfg, D.LossWeights(1.0, 0.0, 0.0))
@@ -279,15 +329,12 @@ class TestBCEParity:
                 labels[b, gts[b][gi].class_id, gy, gx] = 1.0
             z.append(out.data[:, :cfg.num_classes].ravel())
             y.append(labels.ravel())
-        p = 1.0 / (1.0 + np.exp(-np.concatenate(z)))
-        # inside the helper's probability clamp, so both see the same logits
-        assert D.LOG_EPS < p.min() and p.max() < 1.0 - D.LOG_EPS
-        labels = np.concatenate(y)
+        z, labels = np.concatenate(z), np.concatenate(y)
         assert labels.sum() == bd["n_pos"] > 0
-        # total_loss divides the sum by n_pos and the helper by the cell
-        # count, so compare both at the sum
-        assert bd["bce"] * bd["n_pos"] == pytest.approx(
-            D.bce_loss(p, labels).item() * labels.size, rel=1e-12)
+        # -y log sigmoid(z) - (1 - y) log(1 - sigmoid(z)), summed over every
+        # cell and divided by the positive count
+        terms = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
+        assert bd["bce"] == pytest.approx(terms.sum() / bd["n_pos"], rel=1e-12)
 
 
 class TestAssignment:
@@ -523,7 +570,7 @@ class TestAdamW:
         opt = D.AdamW([p])
         for _ in range(200):
             p.zero_grad()
-            loss = T.mean_all(T.mul(T.sub(p, target), T.sub(p, target)))
+            loss = T.sum_all(T.mul(T.sub(p, target), T.sub(p, target)))
             T.backward(loss)
             opt.step(lr=0.1, beta1=0.9, weight_decay=0.0)
         assert abs(p.item() - target) < 0.05
@@ -617,11 +664,23 @@ class TestModelBuild:
         ("lr0", math.nan), ("lr0", math.inf), ("lr0", 0.0), ("lr0", -1e-3),
         ("beta2", math.nan), ("beta2", 1.0), ("beta2", -0.1),
         ("warmup_epochs", -2), ("warmup_epochs", math.nan), ("warmup_epochs", 101),
-        ("batch", 0),
+        ("batch", 0), ("epochs", 0), ("epochs", -3), ("epochs", math.nan), ("seed", -1),
     ])
     def test_bad_train_config_field_raises_config_error_naming_it(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
             D.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("n_labels", [3, 5])
+    def test_train_loop_rejects_label_count_unequal_to_image_count(self, n_labels):
+        model = D.Detector(micro_config(), init_seed=1, dtype=np.float32)
+        before = [a.tobytes() for _, a in model.state_arrays()]
+        images = np.zeros((4, 1, 32, 32), dtype=np.float32)
+        gts = [[GroundTruth(0, 0.5, 0.5, 0.3, 0.3)]] * n_labels
+        logged = []
+        with pytest.raises(DataError, match=f"^{n_labels} label lists for 4 images"):
+            D.train_loop(model, images, gts, D.TrainConfig(batch=2, epochs=1, warmup_epochs=0),
+                         log_fn=logged.append)
+        assert logged == [] and [a.tobytes() for _, a in model.state_arrays()] == before
 
     def test_entry_points_check_input_channels(self):
         cfg = micro_config()
