@@ -96,8 +96,8 @@ class SceneSpec:
 
 MAX_PLACEMENT_ATTEMPTS = 100
 
-# float64 exp(t) is exactly 0.0 for t below about -745.13, so a Gaussian
-# term is +-0.0 wherever |x - cx| or |y - cy| exceeds this many sigmas
+# float64 exp(t) is 0.0 for t below about -745.13, so a Gaussian term is +-0.0
+# beyond this many sigmas: _splat's window when its frame holds 0 or both signs
 SPLAT_REACH = math.sqrt(2 * 746)
 
 
@@ -108,9 +108,23 @@ def _span(c: float, r: float, s: int) -> slice:
 
 def _splat(image: np.ndarray, coords: np.ndarray, amp, cx, cy, sigma) -> None:
     """Add ``amp * exp(-((x - cx)**2 + (y - cy)**2) / (2 * sigma**2))`` to
-    ``image`` in place over the window where it can be nonzero;
-    ``coords`` is ``arange(size)`` as float64."""
+    ``image`` in place over the window where it can change a pixel;
+    ``coords`` is ``arange(size)`` as float64.
+
+    If the pixels of the ``SPLAT_REACH`` window share one sign, with least
+    magnitude m, and amp is finite and nonzero, the window shrinks to
+    half-width sigma * sqrt(2 * (ln|amp| - ln m + 57 ln 2)) + 1.  Beyond it
+    |amp * exp(t)| < m * 2**-56, under half the float spacing on either side
+    of any |p| >= m, so p + term rounds back to p.  Otherwise (a 0, NaN or
+    both signs in the window) the full window is kept."""
     r = sigma * SPLAT_REACH
+    window = image[_span(cy, r, len(coords)), _span(cx, r, len(coords))]
+    if window.size and 0 < abs(amp) < math.inf:
+        lo, hi = window.min(), window.max()
+        m = lo if lo > 0 else -hi  # > 0 only when every pixel has one sign
+        if m > 0:  # ln m, not ln(m * 2**-57), which underflows for tiny m
+            a = math.log(abs(amp)) - math.log(m) + 57 * math.log(2)
+            r = min(r, sigma * math.sqrt(2 * max(a, 0.0)) + 1)
     rows, cols = _span(cy, r, len(coords)), _span(cx, r, len(coords))
     # in place, one window-sized buffer: the values of amp * exp(-d2 / (2 * sigma**2))
     t = (coords[cols] - cx) ** 2 + (coords[rows, None] - cy) ** 2
@@ -130,10 +144,10 @@ def generate_scene(spec: SceneSpec) -> tuple[np.ndarray, list[GroundTruth]]:
 
     Each blob and target is added only inside its ``_splat`` window, by the
     float64 operations of a full-frame Gaussian in the same order, so the
-    pixels there get the same bits.  Outside it the full-frame term is
-    ``amp * exp(t)`` with ``t`` below about -746, which is +-0.0 and
-    changes no pixel, since a sum is -0.0 only when both terms are and
-    every pixel starts from ``base > 0``.
+    pixels there get the same bits.  Outside it the full-frame term changes
+    no pixel: round-to-nearest absorbs it, or (``_splat``'s fallback) it is
+    +-0.0, ``exp(t)`` of t below about -746, and a sum is -0.0 only when
+    both terms are, while every pixel starts from ``base > 0``.
     """
     rng = np.random.default_rng(spec.seed)
     s = spec.size

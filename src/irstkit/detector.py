@@ -12,6 +12,7 @@ sides are decoded as bin-distribution expectations times the stride.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,6 +115,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch", "epochs", "warmup_epochs", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # each check written as "not inside" so a NaN fails it
         if not self.epochs >= 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")

@@ -147,8 +147,12 @@ def prf1(counts: ConfusionCounts) -> tuple[float, float, float]:
 
 
 def _score_order(scores) -> list[int]:
-    # stable sort by descending score keeps tie order deterministic
+    # stable sort by descending score keeps tie order deterministic; a NaN
+    # compares false both ways, so it would rank by its list position
     neg = [-s for s in scores]
+    if not all(map(math.isfinite, neg)):
+        i = next(i for i, s in enumerate(neg) if not math.isfinite(s))
+        raise NumericError(f"detection {i} has non-finite score {scores[i]!r}")
     return sorted(range(len(neg)), key=neg.__getitem__)
 
 

@@ -123,7 +123,69 @@ def test_gaussian_term_is_zero_outside_the_splat_window(sigma, offset):
     assert not term[outside].any()
 
 
+def full_window_splat(image, coords, amp, cx, cy, sigma):
+    """``_splat``'s operations, in its order, over the whole ``SPLAT_REACH``
+    window whatever the frame holds."""
+    r = sigma * data.SPLAT_REACH
+    rows, cols = data._span(cy, r, len(coords)), data._span(cx, r, len(coords))
+    t = (coords[cols] - cx) ** 2 + (coords[rows, None] - cy) ** 2
+    np.negative(t, out=t)
+    t /= 2 * sigma ** 2
+    np.exp(t, out=t)
+    t *= amp
+    image[rows, cols] += t
+
+
+@st.composite
+def splat_frames(draw):
+    """Square frames whose smallest magnitude is 2**k, k in [-997, 2]
+    (down past 1e-300): all positive, all negative, holding a 0 or holding
+    both signs; the pixels sit at exact powers of two (binade edges, where
+    the spacing toward 0 halves) or anywhere in the binades above 2**k."""
+    size = draw(st.integers(1, 64))
+    k = draw(st.integers(-997, 2))
+    kind = draw(st.sampled_from(["positive", "negative", "zero", "both_signs"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mantissa = 1.0 if draw(st.booleans()) else rng.uniform(1.0, 2.0, (size, size))
+    frame = np.ldexp(mantissa * np.ones((size, size)), k + rng.integers(0, 3, (size, size)))
+    frame.flat[rng.integers(size * size)] = 2.0 ** k
+    if kind == "negative":
+        frame = -frame
+    elif kind == "zero":
+        frame.flat[rng.integers(size * size)] = 0.0
+    elif kind == "both_signs":
+        frame *= rng.choice([-1.0, 1.0], frame.shape)
+    return frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(splat_frames(), st.sampled_from([-1.0, 1.0]), st.floats(0.0, 2.0),
+       st.floats(0.1, 12.0), st.floats(-0.1, 1.1), st.floats(-0.1, 1.1))
+def test_splat_equals_the_full_window_addition(frame, sign, amp, sigma, fx, fy):
+    coords = np.arange(len(frame), dtype=np.float64)
+    cx, cy = fx * len(frame), fy * len(frame)
+    got, want = frame.copy(), frame.copy()
+    data._splat(got, coords, sign * amp, cx, cy, sigma)
+    full_window_splat(want, coords, sign * amp, cx, cy, sigma)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
+
+
 EVAL_640 = dict(size=640, min_targets=3, max_targets=3, sigma_range=(2.0, 4.0))
+
+
+# the exactness tests pass whether or not the window shrinks, so this one
+# checks that it does: _splat spans its full window, then the shrunk one
+@pytest.mark.parametrize("kwargs", [dict(size=640), EVAL_640], ids=["default_640", "eval_640"])
+def test_640_px_scene_splats_over_the_shrunk_window(monkeypatch, kwargs):
+    radii = []
+    span = data._span
+    monkeypatch.setattr(data, "_span", lambda c, r, s: radii.append(r) or span(c, r, s))
+    data.generate_scene(data.SceneSpec(**kwargs, seed=100_003))
+    assert len(radii) >= 8 and len(radii) % 4 == 0
+    full, shrunk = radii[0::4], radii[2::4]
+    assert all(r < reach / 3 for reach, r in zip(full, shrunk)), (full, shrunk)
+
 
 # sha256 of np.exp over Gaussian arguments where the pins below were recorded
 # (numpy 2.4.6, x86-64 with AVX-512); numpy's exp differs from libm's in the

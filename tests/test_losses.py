@@ -665,10 +665,16 @@ class TestModelBuild:
         ("beta2", math.nan), ("beta2", 1.0), ("beta2", -0.1),
         ("warmup_epochs", -2), ("warmup_epochs", math.nan), ("warmup_epochs", 101),
         ("batch", 0), ("epochs", 0), ("epochs", -3), ("epochs", math.nan), ("seed", -1),
+        # counts that are not integers would fail later in train_loop with a raw TypeError
+        ("epochs", 2.5), ("batch", 1.5), ("warmup_epochs", 1.0), ("seed", 1.5),
     ])
     def test_bad_train_config_field_raises_config_error_naming_it(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} "):
             D.TrainConfig(**{field: value})
+
+    def test_train_config_accepts_numpy_integers(self):
+        D.TrainConfig(batch=np.int64(2), epochs=np.int32(4), warmup_epochs=np.uint8(1),
+                      seed=np.int64(3))
 
     @pytest.mark.parametrize("n_labels", [3, 5])
     def test_train_loop_rejects_label_count_unequal_to_image_count(self, n_labels):

@@ -1,6 +1,7 @@
 """Evaluation metrics: contrast regions, IoU, matching and mNoCoAP against
 full-frame and all-pairs reference implementations, plus hand-worked cases."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -450,6 +451,34 @@ class TestEvaluateWithTies:
         report = M.evaluate_detections([miss, hit], gts, {0: img})
         # the miss ranks first, so the hit lands at precision 1/2
         assert report.map50 == 0.5 and report.mnocoap == 0.5
+
+
+# every entry point that ranks detections by the shared score order
+SCORE_ORDER_ENTRY_POINTS = {
+    "match_detections": lambda dets, gts, images: M.match_detections(dets, gts),
+    "map50": lambda dets, gts, images: M.map50(dets, gts),
+    "mnocoap": lambda dets, gts, images: M.mnocoap(dets, gts, images),
+    "evaluate_detections": lambda dets, gts, images: M.evaluate_detections(dets, gts, images),
+    "average_precision": lambda dets, gts, images: M.average_precision(
+        [(d.score, False) for d in dets], len(gts)),
+}
+
+
+class TestNonFiniteScore:
+    # a NaN compares false both ways, so a stable sort would rank it by its
+    # list position: scored [nan, 0.9, 0.8] on one truth, the NaN took the match
+    @pytest.mark.parametrize("entry", SCORE_ORDER_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_raises_numeric_error_naming_the_detection(self, entry, bad, index):
+        gts = [GTBox(0, 0, Box(0, 0, 10, 10))]
+        img = np.ones((40, 40))
+        img[0:10, 0:10] = 3.0
+        scores = [0.9, 0.8, 0.7]
+        scores[index] = bad
+        dets = [Detection(0, s, Box(0, 0, 10, 10)) for s in scores]
+        with pytest.raises(NumericError, match=f"^detection {index} has non-finite score"):
+            SCORE_ORDER_ENTRY_POINTS[entry](dets, gts, {0: img})
 
 
 # ---------------------------------------------------------------------------
