@@ -6,9 +6,10 @@ with channel/spatial attention (MBConv), a partial-convolution bottleneck
 kernel convolution with learned sampling offsets (VKConv) used inside the
 attention-gated fusion stem (AVCStem).
 
-Blocks hold immutable configuration and parameters during forward; a
-checkpoint is one uncompressed ``.npz`` file holding each named state array
-at its own dtype, so a save/load round trip is exact.
+A forward leaves a block's configuration and parameters unchanged; only a
+training-mode batch norm writes, to its running-statistic buffers.  A
+checkpoint is one uncompressed ``.npz`` file holding each parameter and
+buffer under its name at its own dtype, so a save/load round trip is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from numpy.lib import format as npformat
 from . import complexity
 from . import tensor as T
 from .errors import ConfigError, ContractError, DataError, ParseError, ShapeError
-from .tensor import RunningStats, Tensor4
+from .tensor import Tensor4
 
 
 # ---------------------------------------------------------------------------
@@ -36,42 +37,34 @@ from .tensor import RunningStats, Tensor4
 
 
 class Module:
-    """Named container of parameters, running stats, and child modules.  A
-    call checks the input width against ``in_channels`` (when set), runs
-    ``forward``, then records ``cost`` as this module's cost-tape row.
+    """Named container of state tensors and child modules.  A call checks
+    the input width against ``in_channels`` (when set), runs ``forward``,
+    then records ``cost`` as this module's cost-tape row.
 
-    A :class:`Tensor4` attribute is a parameter: a leaf with
-    ``requires_grad`` set, made by ``_param``.  Assigning a parameter,
-    :class:`RunningStats` or :class:`Module` to an attribute registers it,
-    and assignment order is checkpoint order: a module's parameters, then
-    its running stats, then its children, each kind in the order assigned.
-    Reassigning a registered name replaces its entry in place; any other
-    value unregisters the name."""
+    Every :class:`Tensor4` attribute is state: a parameter when it requires
+    grad (made by ``_param``), otherwise a buffer, such as batch norm's
+    running statistics, that is saved and loaded but neither trained nor
+    counted.  Every :class:`Module` attribute is a child.  Checkpoint order
+    is pre-order over the modules, each module's own tensors before its
+    children, each kind in the order its attribute name was first
+    assigned; an attribute holding any other value is neither."""
 
     # (conv attribute, batch-norm attribute) pairs in which the batch norm
     # directly follows the conv; ``fold_bn`` merges each pair into the conv
     bn_pairs: tuple[tuple[str, str], ...] = ()
 
     def __init__(self, name: str, in_channels: int | None = None):
-        object.__setattr__(self, "_registry", {})
         self.name = name
         self.in_channels = in_channels
 
-    def __setattr__(self, attr: str, value) -> None:
-        if isinstance(value, (Tensor4, RunningStats, Module)):
-            self._registry[attr] = value
-        else:
-            self._registry.pop(attr, None)
-        object.__setattr__(self, attr, value)
-
     def _own(self, kind) -> list:
-        return [v for v in self._registry.values() if isinstance(v, kind)]
+        return [v for v in vars(self).values() if isinstance(v, kind)]
 
     def _param(self, suffix: str, array: np.ndarray) -> Tensor4:
         return Tensor4(array, requires_grad=True, name=f"{self.name}.{suffix}")
 
     def parameters(self) -> list[Tensor4]:
-        return [p for m in self.sublayers() for p in m._own(Tensor4)]
+        return [t for t in self._tensors() if t.requires_grad]
 
     def num_scalars(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -82,31 +75,25 @@ class Module:
         for c in self._own(Module):
             yield from c.sublayers()
 
+    def _tensors(self) -> list[Tensor4]:
+        return [t for m in self.sublayers() for t in m._own(Tensor4)]
+
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """(name, rank-4 array) pairs, per module: parameters then running stats."""
-        out = []
-        for m in self.sublayers():
-            out += [(p.name, p.data) for p in m._own(Tensor4)]
-            for stats in m._own(RunningStats):
-                out.append((f"{m.name}.running_mean", stats.mean.reshape(1, -1, 1, 1)))
-                out.append((f"{m.name}.running_var", stats.var.reshape(1, -1, 1, 1)))
-        return out
+        """(name, rank-4 array) of every parameter and buffer, in checkpoint order."""
+        return [(t.name, t.data) for t in self._tensors()]
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Check every name and shape against :meth:`state_arrays`, then copy
         the arrays into this module at the dtypes it holds."""
-        for name, like in self.state_arrays():
-            if name not in arrays:
-                raise DataError(f"checkpoint has no tensor {name!r}")
-            if arrays[name].shape != like.shape:
-                raise ShapeError(f"{name}: checkpoint shape {arrays[name].shape} "
-                                 f"!= model shape {like.shape}")
-        for m in self.sublayers():
-            for p in m._own(Tensor4):
-                p.data = arrays[p.name].astype(p.data.dtype)
-            for stats in m._own(RunningStats):
-                stats.mean = arrays[f"{m.name}.running_mean"].reshape(-1).astype(np.float64)
-                stats.var = arrays[f"{m.name}.running_var"].reshape(-1).astype(np.float64)
+        tensors = self._tensors()
+        for t in tensors:
+            if t.name not in arrays:
+                raise DataError(f"checkpoint has no tensor {t.name!r}")
+            if arrays[t.name].shape != t.data.shape:
+                raise ShapeError(f"{t.name}: checkpoint shape {arrays[t.name].shape} "
+                                 f"!= model shape {t.data.shape}")
+        for t in tensors:
+            t.data = arrays[t.name].astype(t.data.dtype)
 
     def zero_grads(self) -> None:
         for p in self.parameters():
@@ -177,24 +164,28 @@ class Conv2dLayer(Module):
 
 
 class BatchNormLayer(Module):
+    """Batch norm over ``c`` channels: parameters ``gamma`` and ``beta`` in
+    the model's dtype, then the buffers ``running_mean`` and
+    ``running_var``, float64 at any model dtype, which a training-mode
+    forward updates and an inference-mode forward reads."""
+
     def __init__(self, name: str, c: int, dtype=np.float64):
         super().__init__(name)
         self.c = c
         self.gamma = self._param("gamma", np.ones((1, c, 1, 1), dtype=dtype))
         self.beta = self._param("beta", np.zeros((1, c, 1, 1), dtype=dtype))
-        self.stats = RunningStats.create(c)
+        self.running_mean = Tensor4(np.zeros((1, c, 1, 1)), name=f"{name}.running_mean")
+        self.running_var = Tensor4(np.ones((1, c, 1, 1)), name=f"{name}.running_var")
 
     def forward(self, x: Tensor4, training: bool = False, seed: int = 0) -> Tensor4:
-        return T.batch_norm(x, self.gamma, self.beta, self.stats,
-                            training=training)
+        return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                            self.running_var, training=training)
 
     def rows(self, x: Tensor4, lo: int, hi: int) -> Tensor4:
         """Channels lo..hi-1 of the inference-mode ``forward``, unrecorded;
         x holds only those channels."""
-        return T.batch_norm(x, Tensor4(self.gamma.data[:, lo:hi]),
-                            Tensor4(self.beta.data[:, lo:hi]),
-                            RunningStats(self.stats.mean[lo:hi], self.stats.var[lo:hi]),
-                            training=False)
+        return T.batch_norm(x, *(Tensor4(t.data[:, lo:hi]) for t in (
+            self.gamma, self.beta, self.running_mean, self.running_var)), training=False)
 
     def cost(self, x, out):
         return 2 * self.c, 0
@@ -230,13 +221,13 @@ def fold_bn(model: Module) -> Module:
         for conv_attr, bn_attr in m.bn_pairs:
             conv, bn = getattr(m, conv_attr), getattr(m, bn_attr)
             w = conv.weight.data
-            scale = bn.gamma.data.reshape(-1) / np.sqrt(bn.stats.var + T.BN_EPS)
-            shift = -bn.stats.mean
+            scale = bn.gamma.data / np.sqrt(bn.running_var.data + T.BN_EPS)
+            shift = -bn.running_mean.data
             if conv.bias is not None:
-                shift = shift + conv.bias.data.reshape(-1)
-            bias = bn.beta.data.reshape(-1) + shift * scale
+                shift = shift + conv.bias.data
+            bias = bn.beta.data + shift * scale
             conv.weight = conv._param("weight", w * scale.astype(w.dtype).reshape(-1, 1, 1, 1))
-            conv.bias = conv._param("bias", bias.astype(w.dtype).reshape(1, -1, 1, 1))
+            conv.bias = conv._param("bias", bias.astype(w.dtype))
             setattr(m, bn_attr, PassThrough(bn.name))
     return fused
 

@@ -1,8 +1,10 @@
 """Parameter and flop accounting for convolutional layers and whole models.
 
 A multiply-accumulate counts as 2 flops.  Batch norm contributes 2c
-parameters and negligible flops (foldable at inference); attention pooling
-contributes h*w*c flops per reduction.  Model-level accounting replays the
+parameters and negligible flops (foldable at inference); its running mean
+and variance are buffers, state that a checkpoint holds but not parameters,
+so they are not counted.  Attention pooling contributes h*w*c flops per
+reduction.  Model-level accounting replays the
 exact forward graph under a cost tape holding one row per module that does
 work of its own, under the module's name, then cross-checks the parameter
 total against the scalars actually allocated; a mismatch means some layer

@@ -54,8 +54,12 @@ class ModelConfig:
     in_channels: int = 1
 
     def __post_init__(self):
+        for name in ("input_size", "reg_bins", "num_classes", "in_channels"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         self.widths = tuple(self.widths)
-        if any(w < 1 for w in self.widths) or len(self.widths) != 4:
+        if len(self.widths) != 4 or not all(isinstance(w, numbers.Integral) and w >= 1
+                                            for w in self.widths):
             raise ConfigError(f"widths must be four positive ints, got {self.widths}")
         if any(w % 2 for w in self.widths[1:]):
             raise ConfigError(f"stage widths beyond the stem must be even, got {self.widths}")
@@ -484,8 +488,8 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list
     threshold, bin expectations to box sides for the passing cells, then
     greedy per-class NMS at ``NMS_IOU``.  Detections come back sorted by
     descending score; only the boxes NMS keeps become objects."""
-    if not 0.0 < score_thresh < 1.0:
-        raise ConfigError(f"score_thresh must lie in (0, 1), got {score_thresh}")
+    if not (isinstance(score_thresh, numbers.Real) and 0.0 < score_thresh < 1.0):
+        raise ConfigError(f"score_thresh must be a real number in (0, 1), got {score_thresh!r}")
     ncls, bins = cfg.num_classes, cfg.reg_bins
     arange = np.arange(bins)
     outs = [o.data if isinstance(o, Tensor4) else np.asarray(o) for o in head_outs]
@@ -616,6 +620,8 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
     expands about ``MBCONV_BLOCK_BYTES`` of hidden channels at a time
     (Sandler et al. 2018, arXiv:1801.04381, Sec. 5.1): a forward holds one
     block of a 6x expanded activation, never the whole of one."""
+    if not isinstance(batch, numbers.Integral):
+        raise ConfigError(f"batch must be an integer, got {batch!r}")
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
     fused = model.fused()

@@ -835,18 +835,6 @@ BN_EPS = 1e-5  # batch norm's variance floor, shared with the inference-time fol
 BN_MOMENTUM = 0.1  # running-stat update rate, PyTorch's BatchNorm2d default
 
 
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance for batch norm inference."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @staticmethod
-    def create(channels: int) -> "RunningStats":
-        return RunningStats(np.zeros(channels), np.ones(channels))
-
-
 def _normalize(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
     """xhat = (x - mean) * inv_std in one fresh buffer; mean and inv_std are
     in x's dtype."""
@@ -868,19 +856,22 @@ def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, keep_xhat: bo
     return out
 
 
-def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
-               running_stats: RunningStats, training: bool) -> Tensor4:
+def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4, running_mean: Tensor4,
+               running_var: Tensor4, training: bool) -> Tensor4:
     """Channelwise batch normalisation with variance floor ``BN_EPS``.
 
-    Training mode normalises by batch statistics over (n, h, w) and updates
-    the running stats in place with momentum ``BN_MOMENTUM``; inference
-    mode uses the running stats.  Training mode keeps the normalised input
-    for the backward only when the op is recorded; inference mode never
-    keeps it, and its backward recomputes it.
+    ``gamma`` and ``beta`` are parameters; ``running_mean`` and
+    ``running_var`` are buffers, never inputs of the op's tape node.
+    Training mode normalises by batch statistics over (n, h, w) and
+    replaces the buffers' ``data`` with their momentum ``BN_MOMENTUM``
+    update; inference mode normalises by the buffers.  All four are
+    (1, c, 1, 1).  Training mode keeps the normalised input for the
+    backward only when the op is recorded; inference mode never keeps it,
+    and its backward recomputes it.
     """
     n, c, h, w = x.data.shape
-    if gamma.data.shape != (1, c, 1, 1) or beta.data.shape != (1, c, 1, 1):
-        raise ShapeError(f"gamma/beta must be (1,{c},1,1)")
+    if any(t.data.shape != (1, c, 1, 1) for t in (gamma, beta, running_mean, running_var)):
+        raise ShapeError(f"gamma, beta, running_mean and running_var must be (1,{c},1,1)")
     if training:
         m = n * h * w
         if m == 1:
@@ -888,8 +879,8 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
         mean = x.data.mean(axis=(0, 2, 3), keepdims=True)
         var = x.data.var(axis=(0, 2, 3), keepdims=True)
         decay = 1 - BN_MOMENTUM
-        running_stats.mean = decay * running_stats.mean + BN_MOMENTUM * mean.reshape(-1)
-        running_stats.var = decay * running_stats.var + BN_MOMENTUM * var.reshape(-1)
+        running_mean.data = decay * running_mean.data + BN_MOMENTUM * mean
+        running_var.data = decay * running_var.data + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = _normalize(x.data, mean, inv_std)
         out = _affine(xhat, gamma.data, beta.data, keep_xhat=_records(x, gamma, beta))
@@ -902,8 +893,8 @@ def batch_norm(x: Tensor4, gamma: Tensor4, beta: Tensor4,
 
         return _make(out, "batch_norm", (x, gamma, beta), back)
 
-    inv_std = (1.0 / np.sqrt(running_stats.var.reshape(1, c, 1, 1) + BN_EPS)).astype(x.data.dtype)
-    mean = running_stats.mean.reshape(1, c, 1, 1).astype(x.data.dtype)
+    inv_std = (1.0 / np.sqrt(running_var.data + BN_EPS)).astype(x.data.dtype)
+    mean = running_mean.data.astype(x.data.dtype)
     out = _affine(_normalize(x.data, mean, inv_std), gamma.data, beta.data, keep_xhat=False)
 
     def back_eval(g):

@@ -22,6 +22,11 @@ def fd_check(closure, tensors, tol=1e-5, eps=1e-3):
     return report
 
 
+def bn_buffers(mean, var):
+    """Batch norm's running mean and variance as (1, c, 1, 1) buffers."""
+    return T.Tensor4.vector(mean), T.Tensor4.vector(var)
+
+
 def projected(out, seed=0):
     """Random fixed linear functional turning any output into a scalar."""
     proj = T.Tensor4.const(np.random.default_rng(seed).standard_normal(out.shape))
@@ -138,16 +143,17 @@ class TestPrimitiveGradients:
         b = T.Tensor4(RNG.standard_normal((1, 4, 1, 1)), requires_grad=True)
 
         def run(xx, gg, bb):
-            return projected(T.batch_norm(xx, gg, bb, T.RunningStats.create(4), training=True))
+            return projected(T.batch_norm(xx, gg, bb, *bn_buffers(np.zeros(4), np.ones(4)),
+                                          training=True))
 
         fd_check(run, [x, g, b], tol=1e-4)  # curvature of the variance term
 
     def test_batch_norm_inference(self):
-        stats = T.RunningStats(RNG.standard_normal(4) * 0.1, RNG.random(4) + 0.5)
+        stats = bn_buffers(RNG.standard_normal(4) * 0.1, RNG.random(4) + 0.5)
         x = rand_tensor((1, 4, 6, 6))
         g = T.Tensor4(RNG.standard_normal((1, 4, 1, 1)) + 1.0, requires_grad=True)
         b = T.Tensor4(RNG.standard_normal((1, 4, 1, 1)), requires_grad=True)
-        fd_check(lambda xx, gg, bb: projected(T.batch_norm(xx, gg, bb, stats, training=False)),
+        fd_check(lambda xx, gg, bb: projected(T.batch_norm(xx, gg, bb, *stats, training=False)),
                  [x, g, b])
 
     @pytest.mark.parametrize("kind", ["silu", "sigmoid", "relu"])

@@ -1,5 +1,6 @@
 """Block contracts: shapes, degeneracies, permutation structure, gradients."""
 
+import hashlib
 import io
 import tracemalloc
 import zipfile
@@ -21,6 +22,11 @@ RNG = np.random.default_rng(7)
 
 def rand_input(shape, seed=0):
     return Tensor4(np.random.default_rng(seed).standard_normal(shape))
+
+
+def state_names(module):
+    """Attribute names of a module's own state tensors and children, in order."""
+    return [a for a, v in vars(module).items() if isinstance(v, (Tensor4, B.Module))]
 
 
 def zero_params(module):
@@ -130,8 +136,8 @@ class TestBlockedMBConv:
             if isinstance(m, B.BatchNormLayer):
                 m.gamma.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
                 m.beta.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
-                m.stats.mean = rng.normal(0.0, 0.5, m.c)
-                m.stats.var = rng.uniform(0.3, 2.0, m.c)
+                m.running_mean.data = rng.normal(0.0, 0.5, (1, m.c, 1, 1))
+                m.running_var.data = rng.uniform(0.3, 2.0, (1, m.c, 1, 1))
         return B.fold_bn(blk) if fused else blk
 
     @staticmethod
@@ -424,8 +430,8 @@ class TestVKConv:
             p.data = rng.normal(0.0, 1.0, p.data.shape)
         vk.offset_conv.weight.data *= 3.0
         vk.alpha.data[:] = B.VK_OFFSET_SCALE
-        vk.bn.stats.mean = rng.normal(0.0, 1.0, 4)
-        vk.bn.stats.var = rng.uniform(0.2, 3.0, 4)
+        vk.bn.running_mean.data = rng.normal(0.0, 1.0, (1, 4, 1, 1))
+        vk.bn.running_var.data = rng.uniform(0.2, 3.0, (1, 4, 1, 1))
         x = rand_input((2, 6, 7, 7), seed=52)
         coords = vk.sample_coords(x)
         yx = coords.data.reshape(2, B.VK_POINTS, 2, 7, 7)
@@ -535,8 +541,8 @@ class TestFoldBn:
             p.data = rng.normal(0.0, 1.0, p.data.shape)
         for m in module.sublayers():
             if isinstance(m, B.BatchNormLayer):
-                m.stats.mean = rng.normal(0.0, 1.0, m.c)
-                m.stats.var = rng.uniform(0.2, 3.0, m.c)
+                m.running_mean.data = rng.normal(0.0, 1.0, (1, m.c, 1, 1))
+                m.running_var.data = rng.uniform(0.2, 3.0, (1, m.c, 1, 1))
         return module
 
     @pytest.mark.parametrize("factory, c", [
@@ -626,17 +632,49 @@ class TestCheckpoint:
         want = states[:cut] + new_names + states[cut + len(old_names):]
         assert [name for name, _ in model.state_arrays()] == want
         assert [p.name for p in model.parameters()] == [n for n in want if "running_" not in n]
-        assert list(model.fuse_t3._registry) == ["branch_a", "branch_b", "gate1", "gate3", "vk"]
+        assert state_names(model.fuse_t3) == ["branch_a", "branch_b", "gate1", "gate3", "vk"]
 
         x = Tensor4(np.random.default_rng(5).random((1, 1, 32, 32)))
         with T.no_grad(), C.tracking() as tape:
             heads = model(x)
         assert [h.shape for h in heads] == [(1, cfg.head_channels, s, s) for s in (4, 2, 1)]
         assert tape.report().total_params == model.num_scalars()
-        # configuration and dtype are plain attributes, not registered state
-        assert list(model._registry) == [
+        # configuration and dtype are plain attributes, not state
+        assert state_names(model) == [
             "stem", "a0", "b0", "b1", "down_c", "bs_c", "down_d", "bs_d", "fuse_t4",
             "fuse_t3", "down_34", "fuse_m4", "down_45", "fuse_m5", "head0", "head1", "head2"]
+
+    # sha256[:16] of repr([(name, shape, dtype.str), ...]) over a Detector's
+    # state_arrays(), as written by every earlier checkpoint; the layout does
+    # not depend on input_size
+    LAYOUT = {np.float64: "a04ed87583ad711e", np.float32: "b94e76c7b3c0a677"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_detector_checkpoint_layout_is_pinned(self, dtype):
+        model = D.Detector(D.ModelConfig(), dtype=dtype)
+        layout = [(name, a.shape, a.dtype.str) for name, a in model.state_arrays()]
+        assert len(layout) == 241
+        assert hashlib.sha256(repr(layout).encode()).hexdigest()[:16] == self.LAYOUT[dtype]
+        assert [p.name for p in model.parameters()] == [
+            name for name, _, _ in layout if "running_" not in name]
+        assert {d for name, _, d in layout if "running_" in name} == {np.dtype(np.float64).str}
+        assert {d for name, _, d in layout if "running_" not in name} == {np.dtype(dtype).str}
+
+    def test_running_stats_stay_float64_in_a_float32_model(self, tmp_path):
+        cfg = D.ModelConfig(input_size=32, widths=(4, 4, 4, 4), reg_bins=4)
+        model = D.Detector(cfg, init_seed=1, dtype=np.float32)
+        images = np.random.default_rng(41).random((2, 1, 32, 32)).astype(np.float32)
+        D.train_step(model, D.AdamW(model.parameters()), images, [[], []], 0, 10, 1,
+                     D.TrainConfig(epochs=10), D.LossWeights())
+        stats = [(n, a) for n, a in model.state_arrays() if "running_" in n]
+        assert stats and {a.dtype for _, a in stats} == {np.dtype(np.float64)}
+        assert not np.array_equal(stats[0][1], np.zeros_like(stats[0][1]))  # the step moved them
+        B.save_checkpoint(model, tmp_path / "det.npz")
+        dst = D.Detector(cfg, init_seed=2, dtype=np.float32)
+        B.load_checkpoint(dst, tmp_path / "det.npz")
+        for (name, a), (_, b) in zip(stats, [(n, a) for n, a in dst.state_arrays()
+                                             if "running_" in n], strict=True):
+            assert b.dtype == np.float64 and a.tobytes() == b.tobytes(), name
 
     def test_non_state_value_unregisters_its_name(self):
         conv = B.Conv2dLayer("c", 2, 3, 1, bias=True)

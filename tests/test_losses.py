@@ -448,6 +448,12 @@ class TestDecode:
         with pytest.raises(ConfigError):
             D.decode([np.zeros((1, cfg.head_channels, 12, 12))] * 3, cfg, score_thresh=0.0)
 
+    @pytest.mark.parametrize("thresh", ["0.5", None, 0.5j])
+    def test_non_real_threshold_rejected_naming_it(self, thresh):
+        cfg = D.ModelConfig()
+        with pytest.raises(ConfigError, match="^score_thresh must be a real number"):
+            D.decode([np.zeros((1, cfg.head_channels, 12, 12))] * 3, cfg, score_thresh=thresh)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("num_classes", [1, 2])
     def test_matches_full_grid_reference(self, dtype, num_classes):
@@ -661,6 +667,19 @@ class TestModelBuild:
             D.ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
+        ("input_size", 96.0), ("widths", (8, 16, 32, 64.0)), ("widths", "abcd"),
+        ("reg_bins", 8.0), ("num_classes", 1.0), ("in_channels", 1.5),
+    ])
+    def test_non_integer_model_config_field_raises_config_error_naming_it(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            D.ModelConfig(**{field: value})
+
+    def test_model_config_accepts_numpy_integers(self):
+        cfg = D.ModelConfig(input_size=np.int64(64), widths=np.array([8, 16, 32, 64]),
+                            reg_bins=np.int32(8), num_classes=np.uint8(1), in_channels=np.int64(1))
+        assert cfg.widths == (8, 16, 32, 64) and cfg.head_grid(0) == 8
+
+    @pytest.mark.parametrize("field, value", [
         ("lr0", math.nan), ("lr0", math.inf), ("lr0", 0.0), ("lr0", -1e-3),
         ("beta2", math.nan), ("beta2", 1.0), ("beta2", -0.1),
         ("warmup_epochs", -2), ("warmup_epochs", math.nan), ("warmup_epochs", 101),
@@ -715,6 +734,12 @@ class TestModelBuild:
         with pytest.raises(ConfigError, match=f"^batch must be >= 1, got {batch}"):
             D.predict(model, np.zeros((2, 1, 32, 32), dtype=np.float32), batch=batch)
 
+    @pytest.mark.parametrize("batch", [1.5, 2.0, "2"])
+    def test_predict_rejects_non_integer_batch(self, batch):
+        model = D.Detector(micro_config(), init_seed=1, dtype=np.float32)
+        with pytest.raises(ConfigError, match=f"^batch must be an integer, got {batch!r}"):
+            D.predict(model, np.zeros((2, 1, 32, 32), dtype=np.float32), batch=batch)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_predict_leaves_images_untouched(self, dtype):
         model = D.Detector(micro_config(), init_seed=1, dtype=np.float32)
@@ -737,8 +762,8 @@ def randomize_bn(model, seed):
             dtype = m.gamma.data.dtype
             m.gamma.data = rng.uniform(0.5, 1.5, (1, m.c, 1, 1)).astype(dtype)
             m.beta.data = rng.normal(0.0, 0.3, (1, m.c, 1, 1)).astype(dtype)
-            m.stats.mean = rng.normal(0.0, 0.5, m.c)
-            m.stats.var = rng.uniform(0.3, 2.0, m.c)
+            m.running_mean.data = rng.normal(0.0, 0.5, (1, m.c, 1, 1))
+            m.running_var.data = rng.uniform(0.3, 2.0, (1, m.c, 1, 1))
     return model
 
 

@@ -231,12 +231,21 @@ class TestDepthwiseConv2d:
         assert T.conv2d(x, w, pad=1, groups=groups).dtype == np.float64
 
 
+def bn_buffers(mean, var):
+    """Batch norm's running mean and variance as (1, c, 1, 1) buffers."""
+    return T.Tensor4.vector(mean), T.Tensor4.vector(var)
+
+
+def fresh_buffers(c):
+    return bn_buffers(np.zeros(c), np.ones(c))
+
+
 class TestBatchNorm:
     def test_training_normalizes_to_standard_moments(self):
         rng = np.random.default_rng(7)
         x = T.Tensor4(rng.standard_normal((4, 3, 5, 5)) * 3.0 + 1.5)
         out = T.batch_norm(x, T.Tensor4.vector(np.ones(3)), T.Tensor4.vector(np.zeros(3)),
-                           T.RunningStats.create(3), training=True)
+                           *fresh_buffers(3), training=True)
         means = out.data.mean(axis=(0, 2, 3))
         variances = out.data.var(axis=(0, 2, 3))
         np.testing.assert_allclose(means, 0.0, atol=1e-12)
@@ -247,7 +256,7 @@ class TestBatchNorm:
         x = T.Tensor4(rng.standard_normal((2, 3, 4, 4)))
         beta = T.Tensor4.vector([0.5, -1.0, 2.0])
         out = T.batch_norm(x, T.Tensor4.vector(np.zeros(3)), beta,
-                           T.RunningStats.create(3), training=True)
+                           *fresh_buffers(3), training=True)
         np.testing.assert_allclose(out.data, np.broadcast_to(beta.data, out.shape), atol=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -255,7 +264,7 @@ class TestBatchNorm:
         xd = rng.standard_normal((3, 2, 4, 4))
         gamma, beta, eps = np.array([1.3, 0.7]), np.array([-0.2, 0.4]), T.BN_EPS
         out = T.batch_norm(T.Tensor4(xd), T.Tensor4.vector(gamma), T.Tensor4.vector(beta),
-                           T.RunningStats.create(2), training=True)
+                           *fresh_buffers(2), training=True)
         expected = np.empty_like(xd)
         for c in range(2):
             mu = xd[:, c].mean()
@@ -264,24 +273,37 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_inference_uses_running_stats(self):
-        stats = T.RunningStats(np.array([2.0]), np.array([4.0]))
+        stats = bn_buffers([2.0], [4.0])
         x = T.Tensor4(np.full((1, 1, 2, 2), 4.0))
         out = T.batch_norm(x, T.Tensor4.vector([1.0]), T.Tensor4.vector([0.0]),
-                           stats, training=False)
+                           *stats, training=False)
         np.testing.assert_allclose(out.data, (4.0 - 2.0) / np.sqrt(4.0 + 1e-5), rtol=1e-12)
 
     def test_degenerate_batch_raises(self):
         x = T.Tensor4(np.zeros((1, 3, 1, 1)))
         with pytest.raises(NumericError):
             T.batch_norm(x, T.Tensor4.vector(np.ones(3)), T.Tensor4.vector(np.zeros(3)),
-                         T.RunningStats.create(3), training=True)
+                         *fresh_buffers(3), training=True)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+    @pytest.mark.parametrize("which, shape", [
+        (0, (1, 4, 1, 1)), (1, (1, 4, 1, 1)), (0, (3, 1, 1, 1)), (1, (1, 1, 1, 3)),
+    ], ids=["mean_wide", "var_wide", "mean_transposed", "var_transposed"])
+    def test_running_stat_of_wrong_shape_raises_shape_error(self, training, which, shape):
+        stats = list(fresh_buffers(3))
+        stats[which] = T.Tensor4(np.ones(shape))
+        x = T.Tensor4(np.random.default_rng(10).standard_normal((2, 3, 4, 4)))
+        with pytest.raises(ShapeError, match=r"running_var must be \(1,3,1,1\)"):
+            T.batch_norm(x, T.Tensor4.vector(np.ones(3)), T.Tensor4.vector(np.zeros(3)),
+                         *stats, training=training)
+        assert stats[which].data.shape == shape  # raised before any update
 
     def test_running_stats_momentum_update(self):
-        stats = T.RunningStats.create(1)
+        mean, var = fresh_buffers(1)
         x = T.Tensor4(np.arange(8.0).reshape(1, 1, 2, 4))
-        T.batch_norm(x, T.Tensor4.vector([1.0]), T.Tensor4.vector([0.0]), stats, training=True)
-        assert stats.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.5)
-        assert stats.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * np.arange(8.0).var())
+        T.batch_norm(x, T.Tensor4.vector([1.0]), T.Tensor4.vector([0.0]), mean, var, training=True)
+        assert mean.item() == pytest.approx(0.9 * 0.0 + 0.1 * 3.5)
+        assert var.item() == pytest.approx(0.9 * 1.0 + 0.1 * np.arange(8.0).var())
 
 
 class TestActivation:
@@ -548,14 +570,14 @@ class TestBufferReuse:
     def test_batch_norm_inference(self, dtype):
         x, gamma, beta = self.arrays(dtype, (2, 4, 5, 5), (1, 4, 1, 1), (1, 4, 1, 1))
         rng = np.random.default_rng(24)
-        stats = T.RunningStats(rng.normal(0.0, 1.0, 4), rng.uniform(0.2, 3.0, 4))
-        inputs = [a.copy() for a in (x, gamma, beta, stats.mean, stats.var)]
-        out = T.batch_norm(T.Tensor4(x), T.Tensor4(gamma), T.Tensor4(beta), stats,
+        stats = bn_buffers(rng.normal(0.0, 1.0, 4), rng.uniform(0.2, 3.0, 4))
+        inputs = [a.copy() for a in (x, gamma, beta, stats[0].data, stats[1].data)]
+        out = T.batch_norm(T.Tensor4(x), T.Tensor4(gamma), T.Tensor4(beta), *stats,
                            training=False)
-        inv_std = (1.0 / np.sqrt(stats.var.reshape(1, 4, 1, 1) + 1e-5)).astype(dtype)
-        mean = stats.mean.reshape(1, 4, 1, 1).astype(dtype)
+        inv_std = (1.0 / np.sqrt(stats[1].data + 1e-5)).astype(dtype)
+        mean = stats[0].data.astype(dtype)
         self.assert_same(out.data, gamma * ((x - mean) * inv_std) + beta)
-        for a, b in zip((x, gamma, beta, stats.mean, stats.var), inputs):
+        for a, b in zip((x, gamma, beta, stats[0].data, stats[1].data), inputs):
             self.assert_same(a, b)
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -563,7 +585,7 @@ class TestBufferReuse:
         x, gamma, beta = self.arrays(dtype, (2, 4, 5, 5), (1, 4, 1, 1), (1, 4, 1, 1))
         before = x.copy()
         out = T.batch_norm(T.Tensor4(x), T.Tensor4(gamma), T.Tensor4(beta),
-                           T.RunningStats.create(4), training=True)
+                           *fresh_buffers(4), training=True)
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3), keepdims=True) + 1e-5)
         self.assert_same(out.data, gamma * ((x - mean) * inv_std) + beta)
@@ -632,7 +654,7 @@ class TestUnrecordedForward:
         "batch_norm": lambda x: T.batch_norm(
             x, T.Tensor4(np.linspace(0.5, 1.5, 4).reshape(1, 4, 1, 1).astype(x.dtype)),
             T.Tensor4(np.linspace(-0.3, 0.3, 4).reshape(1, 4, 1, 1).astype(x.dtype)),
-            T.RunningStats(np.array([0.5, -1.0, 0.0, 2.0]), np.array([0.3, 1.0, 2.0, 0.7])),
+            *bn_buffers([0.5, -1.0, 0.0, 2.0], [0.3, 1.0, 2.0, 0.7]),
             training=False),
     }
 
@@ -704,7 +726,8 @@ class TestSnapshotFormat:
                   1, 0x80000001, 0x7F7FFFFF, 0x3EAAAAAB]
         src = B.BatchNormLayer("bn", 10, dtype=np.float32)
         src.gamma.data = np.array(bits32, dtype=np.uint32).view(np.float32).reshape(1, 10, 1, 1)
-        src.stats.mean = np.array([b << 32 | b for b in bits32], dtype=np.uint64).view(np.float64)
+        src.running_mean.data = (np.array([b << 32 | b for b in bits32], dtype=np.uint64)
+                                 .view(np.float64).reshape(1, 10, 1, 1))
         B.save_checkpoint(src, tmp_path / "bn.npz")
         dst = B.BatchNormLayer("bn", 10, dtype=np.float32)
         B.load_checkpoint(dst, tmp_path / "bn.npz")
