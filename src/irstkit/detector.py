@@ -57,7 +57,7 @@ class ModelConfig:
         for name in ("input_size", "reg_bins", "num_classes", "in_channels"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        self.widths = tuple(self.widths)
+        self.widths = tuple(self.widths) if np.iterable(self.widths) else (self.widths,)
         if len(self.widths) != 4 or not all(isinstance(w, numbers.Integral) and w >= 1
                                             for w in self.widths):
             raise ConfigError(f"widths must be four positive ints, got {self.widths}")

@@ -667,7 +667,7 @@ class TestModelBuild:
             D.ModelConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("input_size", 96.0), ("widths", (8, 16, 32, 64.0)), ("widths", "abcd"),
+        ("input_size", 96.0), ("widths", (8, 16, 32, 64.0)), ("widths", "abcd"), ("widths", 64),
         ("reg_bins", 8.0), ("num_classes", 1.0), ("in_channels", 1.5),
     ])
     def test_non_integer_model_config_field_raises_config_error_naming_it(self, field, value):
