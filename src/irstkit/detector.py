@@ -457,52 +457,132 @@ NMS_BLOCK = 1024
 NMS_IOU = 0.45
 
 
-def _nms(boxes: np.ndarray, nms_iou: float) -> list[int]:
-    """Greedy NMS over one image's boxes of one class, given as an (n, 4)
-    float64 array of (x1, y1, x2, y2) rows in descending-score order: keep
-    each row whose IoU with every kept row is below ``nms_iou``.  Returns
-    the kept row indices in order."""
-    # bench/spans.py wraps this function by name and parameter list
+def _greedy(flat: bytes, width: int, count: int, dead: int = 0) -> list[int]:
+    """Greedy suppression over ``count`` packed clash rows of ``width`` bytes
+    each: row i survives unless bit i of ``dead`` is set, and a survivor ORs
+    its whole clash row into ``dead``, so suppression stays bit-parallel.
+    Returns the surviving row positions."""
+    keep: list[int] = []
+    for i in range(count):
+        if not dead >> i & 1:
+            keep.append(i)
+            dead |= int.from_bytes(flat[i * width:(i + 1) * width], "little")
+    return keep
+
+
+def _nms_padded(rows: np.ndarray, groups: list[tuple[int, int]], width: int,
+                nms_iou: float) -> list[int]:
+    """``_nms`` of consecutive groups (lo, hi) of at most ``width`` rows each,
+    padded to ``width`` rows for one batched IoU pass; the padding repeats a
+    real row and is never read."""
+    starts = np.array([lo for lo, _ in groups])
+    idx = np.minimum(starts[:, None] + np.arange(width), groups[-1][1] - 1)
+    boxes = rows[idx, 1:]
+    bits = np.packbits(metrics.iou_matrix(boxes, boxes) >= nms_iou, axis=-1, bitorder="little")
+    nbytes = bits.shape[-1]
+    keep: list[int] = []
+    for g, (lo, hi) in enumerate(groups):
+        keep += [lo + i for i in _greedy(bits[g].tobytes(), nbytes, hi - lo)]
+    return keep
+
+
+def _nms_blocked(boxes: np.ndarray, nms_iou: float) -> list[int]:
+    """``_nms`` of one group's (n, 4) boxes in blocks of ``NMS_BLOCK`` rows:
+    each block's rows start out suppressed by the earlier blocks' survivors."""
     keep: list[int] = []
     for lo in range(0, len(boxes), NMS_BLOCK):
         hi = min(lo + NMS_BLOCK, len(boxes))
         clash = metrics.iou_matrix(boxes[lo:hi], boxes[:hi]) >= nms_iou
-        # bit i of ``dead`` marks row lo + i suppressed; a kept row ORs in its
-        # whole clash row at once, so suppression stays bit-parallel
         dead = 0
         if keep:
             earlier = np.packbits(clash[:, keep].any(axis=1), bitorder="little")
             dead = int.from_bytes(earlier.tobytes(), "little")
-        rows = np.packbits(clash[:, lo:hi], axis=1, bitorder="little")
-        width = rows.shape[1]
-        flat = rows.tobytes()
-        for i in range(hi - lo):
-            if not dead >> i & 1:
-                keep.append(lo + i)
-                dead |= int.from_bytes(flat[i * width:(i + 1) * width], "little")
+        bits = np.packbits(clash[:, lo:hi], axis=1, bitorder="little")
+        keep += [lo + i for i in _greedy(bits.tobytes(), bits.shape[1], hi - lo, dead)]
     return keep
+
+
+def _nms(rows: np.ndarray, nms_iou: float) -> list[int]:
+    """Greedy NMS within groups, every group in one call.
+
+    ``rows`` is an (n, 5) float64 array of (group id, x1, y1, x2, y2) rows;
+    each group's rows are contiguous and in descending-score order.  A row
+    is kept when its IoU with every kept row of its group is below
+    ``nms_iou``.  Returns the kept row indices in ascending order.
+
+    Consecutive groups of at most ``NMS_BLOCK`` rows share one batched IoU
+    pass, each padded to the largest of them, as long as the padded rows
+    number at most ``NMS_BLOCK``; a larger group runs alone in blocks of
+    ``NMS_BLOCK`` rows.  Either way one pass holds at most ``NMS_BLOCK``
+    IoU rows, and each group's packed clash bits then go through the
+    greedy pass on their own."""
+    # bench/spans.py wraps this function by name and parameter list
+    if not len(rows):
+        return []
+    cuts = (np.flatnonzero(np.diff(rows[:, 0])) + 1).tolist()
+    keep: list[int] = []
+    run: list[tuple[int, int]] = []  # groups waiting for one padded pass
+    width = 0
+    for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+        if run and (len(run) + 1) * max(width, hi - lo) > NMS_BLOCK:
+            keep += _nms_padded(rows, run, width, nms_iou)
+            run, width = [], 0
+        if hi - lo > NMS_BLOCK:
+            keep += [lo + i for i in _nms_blocked(rows[lo:hi, 1:], nms_iou)]
+        else:
+            run.append((lo, hi))
+            width = max(width, hi - lo)
+    if run:
+        keep += _nms_padded(rows, run, width, nms_iou)
+    return keep
+
+
+def _check_heads(outs: list[np.ndarray], cfg: ModelConfig) -> None:
+    """One rank-4 head per stride, each with one batch size and
+    ``cfg.head_channels`` channels; a ``ShapeError`` names the scale."""
+    if len(outs) != len(cfg.strides):
+        raise ShapeError(f"decode needs {len(cfg.strides)} head outputs, one per stride, "
+                         f"got {len(outs)}")
+    for scale, out in enumerate(outs):
+        if out.ndim != 4 or out.shape[1] != cfg.head_channels:
+            raise ShapeError(f"head {scale} must be (n, {cfg.head_channels}, h, w), "
+                             f"got shape {out.shape}")
+        if out.shape[0] != outs[0].shape[0]:
+            raise ShapeError(f"head {scale} holds {out.shape[0]} images, "
+                             f"head 0 holds {outs[0].shape[0]}")
 
 
 def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list[Detection]]:
     """Head outputs to per-image detections: sigmoid class scores, score
     threshold, bin expectations to box sides for the passing cells, then
     greedy per-class NMS at ``NMS_IOU``.  Detections come back sorted by
-    descending score; only the boxes NMS keeps become objects."""
+    descending score; only the boxes NMS keeps become objects.
+
+    NMS runs once for every image and class: the candidates go to ``_nms``
+    as one (group, descending score) ordered array whose groups are the
+    (image, class) pairs."""
     if not (isinstance(score_thresh, numbers.Real) and 0.0 < score_thresh < 1.0):
         raise ConfigError(f"score_thresh must be a real number in (0, 1), got {score_thresh!r}")
     ncls, bins = cfg.num_classes, cfg.reg_bins
     arange = np.arange(bins)
     outs = [o.data if isinstance(o, Tensor4) else np.asarray(o) for o in head_outs]
+    _check_heads(outs, cfg)
     n = outs[0].shape[0]
     # candidates in (scale, row, column) order within each image and class
     cands = []
     for scale, out in enumerate(outs):
         stride = cfg.strides[scale]
         scores = T._logistic(out[:, :ncls])
-        bs, cs, ys, xs = np.nonzero(scores >= score_thresh)
+        flat = np.flatnonzero(scores >= score_thresh)
+        bs, cs, ys, xs = np.unravel_index(flat, scores.shape)
+        cells = out[bs, ncls:, ys, xs]
+        if not np.isfinite(cells).all():
+            k = np.flatnonzero(~np.isfinite(cells).all(axis=1))[0]
+            raise NumericError(f"non-finite box regression logits in image {bs[k]}, "
+                               f"scale {scale}, cell (row {ys[k]}, column {xs[k]})")
         # (bin, cell, side): the bin axis stays outside the innermost one, as
         # on the full grid, so every sum over bins adds in the same order
-        cells = out[bs, ncls:, ys, xs].reshape(-1, 4, bins)
+        cells = cells.reshape(-1, 4, bins)
         reg = np.ascontiguousarray(cells.transpose(2, 0, 1))
         shifted = reg - reg.max(axis=0)
         e = np.exp(shifted)
@@ -511,13 +591,11 @@ def decode(head_outs, cfg: ModelConfig, score_thresh: float = 0.25) -> list[list
         cx = (xs + 0.5) * stride
         cy = (ys + 0.5) * stride
         box = np.column_stack((cx - dist[:, 0], cy - dist[:, 1], cx + dist[:, 2], cy + dist[:, 3]))
-        cands.append((bs, cs, scores[bs, cs, ys, xs], box))
+        cands.append((bs, cs, scores.ravel()[flat], box))
     img, cls, score, boxes = map(np.concatenate, zip(*cands))
     # one stable descending-score order per (image, class) group
     order = np.lexsort((-score, cls, img))
-    group = (img * ncls + cls)[order]
-    groups = np.split(order, np.flatnonzero(np.diff(group)) + 1) if len(order) else []
-    kept = np.concatenate([rows[_nms(boxes[rows], NMS_IOU)] for rows in groups] or [order])
+    kept = order[_nms(np.column_stack(((img * ncls + cls)[order], boxes[order])), NMS_IOU)]
     # per image by descending score; ties keep class order, then NMS order
     kept = kept[np.lexsort((-score[kept], img[kept]))]
     result: list[list[Detection]] = [[] for _ in range(n)]

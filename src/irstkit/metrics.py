@@ -112,15 +112,18 @@ def iou(a: Box, b: Box) -> float:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every box row of ``a`` (m, 4) against every row of ``b`` (n, 4),
-    both as (x1, y1, x2, y2) in float64; entry [i, j] equals
-    ``iou(a[i], b[j])`` exactly, including 0 where the union is empty."""
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    """IoU of every box row of ``a`` (..., m, 4) against every row of ``b``
+    (..., n, 4), both as (x1, y1, x2, y2) in float64, batched over the
+    leading axes; entry [..., i, j] equals ``iou(a[..., i], b[..., j])``
+    exactly, including 0 where the union is empty."""
+    ix = (np.minimum(a[..., :, None, 2], b[..., None, :, 2])
+          - np.maximum(a[..., :, None, 0], b[..., None, :, 0]))
+    iy = (np.minimum(a[..., :, None, 3], b[..., None, :, 3])
+          - np.maximum(a[..., :, None, 1], b[..., None, :, 1]))
     inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
@@ -331,6 +334,14 @@ def noco(region: ContrastRegion) -> float:
 NOCO_DELTAS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
+def _check_image(images: dict, image_id, named_by: str) -> None:
+    """The image a ground truth or detection names exists and is 2-D."""
+    if image_id not in images:
+        raise DataError(f"missing image {image_id!r} for {named_by}")
+    if np.ndim(images[image_id]) != 2:
+        raise ShapeError(f"image {image_id!r} must be 2-D, got shape {np.shape(images[image_id])}")
+
+
 def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict, *,
             order: list[int] | None = None) -> tuple[float, dict[float, float]]:
     """Contrast-thresholded AP averaged over the ``NOCO_DELTAS`` sweep.
@@ -342,30 +353,38 @@ def mnocoap(dets: list[Detection], gts: list[GTBox], images: dict, *,
     Matching is greedy in descending score; the result is the mean of the
     per-threshold APs.  A detection whose window leaves no background pixel
     (a box covering the frame) has no local contrast and scores 0.
-    ``order``, when given, is the detections' ``_score_order``.
+    ``order``, when given, is the detections' ``_score_order``.  Every
+    image a truth or a detection names must be in ``images`` and 2-D.
     """
     if not gts:
         raise DataError("mNoCoAP undefined: no ground truth")
-    for g in gts:
-        if g.image_id not in images:
-            raise DataError(f"missing image {g.image_id!r} for ground truth")
+    # each image's truths as (j, x1, y1, x2, y2); an image id that only
+    # detections name maps to no truths
+    truths: dict = {}
+    for j, g in enumerate(gts):
+        if g.image_id not in truths:
+            _check_image(images, g.image_id, "ground truth")
+            truths[g.image_id] = []
+        b = g.box
+        truths[g.image_id].append((j, b.x1, b.y1, b.x2, b.y2))
 
     denoms = []  # each truth's contrast, guarded away from 0
-    by_image: dict = {}
-    for j, g in enumerate(gts):
+    for g in gts:
         v = noco(build_contrast_region(images[g.image_id], g.box))
         denoms.append(v if abs(v) > 1e-6 else 1e-6)
-        by_image.setdefault(g.image_id, []).append(j)
 
     # candidates of the detections that have any: (gt index, normalized
     # contrast score), best first
     candidates: dict[int, list[tuple[int, float]]] = {}
     for i, det in enumerate(dets):
-        if det.image_id not in images:
-            raise DataError(f"missing image {det.image_id!r} for detection")
+        in_image = truths.get(det.image_id)
+        if in_image is None:
+            _check_image(images, det.image_id, "detection")
+            in_image = truths[det.image_id] = []
         box = det.box
-        cx, cy = box.cx, box.cy
-        inside = [j for j in by_image.get(det.image_id, ()) if gts[j].box.contains(cx, cy)]
+        cx = (box.x1 + box.x2) / 2.0  # as Box.cx and Box.cy
+        cy = (box.y1 + box.y2) / 2.0
+        inside = [j for j, x1, y1, x2, y2 in in_image if x1 <= cx <= x2 and y1 <= cy <= y2]
         if not inside:
             continue
         try:

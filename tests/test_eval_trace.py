@@ -8,11 +8,13 @@ every traced op, and work moved out of the wrapped functions leaves op time
 unattributed; this test catches both before a traced benchmark run does.
 """
 
+import hashlib
 import statistics
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 sys.path[:0] = [str(BENCH_DIR)]
@@ -23,6 +25,7 @@ from workloads import Eval640, make_scenes  # noqa: E402
 
 from irstkit import detector as D  # noqa: E402
 from irstkit import metrics as M  # noqa: E402
+from test_data import exp_as_recorded  # noqa: E402
 
 FRAMES = 6
 OPS = 5
@@ -39,6 +42,23 @@ def eval_inputs(seed):
     return cfg, heads, gt_boxes, images
 
 
+def eval_op(cfg, heads, gt_boxes, images):
+    """The eval_640 op: decode every frame, then the full metric bundle."""
+    dets = [d for per in D.decode(heads, cfg) for d in per]
+    return dets, M.evaluate_detections(dets, gt_boxes, images)
+
+
+def test_eval_op_keeps_its_pinned_bytes():
+    # sha256 of repr of the detections and the report, recorded where
+    # tests/test_data.py recorded its pinned scenes
+    out = eval_op(*eval_inputs(seed=7))
+    if not exp_as_recorded():
+        pytest.skip("np.exp gives other bits than where the hash was recorded")
+    assert len(out[0]) == 152
+    assert (hashlib.sha256(repr(out).encode()).hexdigest()
+            == "a1ffe0e646ca95fae5596c190e23c79daf3172915baa23098798224163ac9eda")
+
+
 def test_traced_eval_ops_run_reconcile_and_restore_the_patches():
     cfg, heads, gt_boxes, images = eval_inputs(seed=7)
     originals = {(mod, name): getattr(mod, name) for mod, name in (
@@ -46,8 +66,7 @@ def test_traced_eval_ops_run_reconcile_and_restore_the_patches():
         (M, "mnocoap"), (M, "build_contrast_region"), (M, "iou"))}
 
     def op():
-        dets = [d for per in D.decode(heads, cfg) for d in per]
-        return dets, M.evaluate_detections(dets, gt_boxes, images)
+        return eval_op(cfg, heads, gt_boxes, images)
 
     want = op()
     shares = []

@@ -427,8 +427,8 @@ class TestDecode:
 
     def test_nms_keeps_higher_score(self):
         # rows come in descending-score order, so row 0 is the higher score
-        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 10.0, 10.0]])
-        assert D._nms(boxes, 0.45) == [0]
+        rows = np.array([[0.0, 0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 0.0, 10.0, 10.0]])
+        assert D._nms(rows, 0.45) == [0]
 
     def test_nms_pairwise_iou_below_threshold(self):
         from irstkit.metrics import iou
@@ -490,15 +490,91 @@ class TestDecode:
         dets += [Detection(0, 0.6, Box(5, 5, 5, 5)), Detection(0, 0.6, Box(5, 5, 5, 5))]
         ranked = sorted(dets, key=lambda d: -d.score)  # stable, as decode orders a group
         row = {id(d): i for i, d in enumerate(ranked)}
-        boxes = np.array([(d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in ranked])
+        rows = np.array([(0.0, d.box.x1, d.box.y1, d.box.x2, d.box.y2) for d in ranked])
         for thresh in (0.2, 0.45, 0.7):
-            kept = D._nms(boxes, thresh)
+            kept = D._nms(rows, thresh)
             assert kept == [row[id(d)] for d in _nms_reference(ranked, thresh)]
         # coincident zero-area boxes have IoU 0, so neither suppresses the other
         assert row[id(dets[-2])] in kept and row[id(dets[-1])] in kept
 
     def test_nms_single_box(self):
-        assert D._nms(np.array([[1.0, 2.0, 3.0, 4.0]]), 0.45) == [0]
+        assert D._nms(np.array([[0.0, 1.0, 2.0, 3.0, 4.0]]), 0.45) == [0]
+
+    @pytest.mark.parametrize("block", [D.NMS_BLOCK, 16, 7])
+    def test_nms_of_many_groups_matches_pairwise_greedy_per_group(self, block, monkeypatch):
+        # one-box groups, groups of exactly one block, groups larger than a
+        # block, and runs of small groups whose padded rows cross a block
+        monkeypatch.setattr(D, "NMS_BLOCK", block)
+        rng = np.random.default_rng(11)
+        sizes = [1, 5, 1, 1, 7, 20, 3, 8, 1, 16, 2, 6, 6, 6, 1, 30, 4]
+        groups = []
+        for size in sizes:
+            dets = []
+            for _ in range(size):
+                x1, y1 = rng.uniform(0, 30, 2)
+                w, h = rng.uniform(1, 15, 2)
+                dets.append(Detection(0, float(rng.choice([0.3, 0.6])),  # tied scores
+                                      Box(x1, y1, x1 + w, y1 + h)))
+            groups.append(sorted(dets, key=lambda d: -d.score))
+        # group ids need only differ between neighbours, as decode's do
+        rows = np.array([(g % 3, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
+                         for g, ranked in enumerate(groups) for d in ranked])
+        row = {id(d): i for i, d in enumerate(d for ranked in groups for d in ranked)}
+        for thresh in (0.2, 0.45, 0.7):
+            want = [row[id(d)] for ranked in groups for d in _nms_reference(ranked, thresh)]
+            assert D._nms(rows, thresh) == want
+            if thresh == 0.2:
+                assert len(want) < len(rows) - len(groups)  # suppression within groups
+
+    def test_nms_without_rows(self):
+        assert D._nms(np.zeros((0, 5)), 0.45) == []
+
+    @pytest.mark.parametrize("block", [D.NMS_BLOCK, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_over_images_and_classes(self, seed, block, monkeypatch):
+        monkeypatch.setattr(D, "NMS_BLOCK", block)
+        cfg = D.ModelConfig(num_classes=3)
+        rng = np.random.default_rng(100 + seed)
+        outs = [rng.normal(-1.0, 2.0, (4, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)))
+                for s in range(3)]
+        got = D.decode(outs, cfg, score_thresh=0.5)
+        want = _decode_reference(outs, cfg, 0.5, D.NMS_IOU)
+        assert len({d.class_id for per in want for d in per}) == 3
+        assert len(got) == len(want) == 4
+        for g_img, w_img in zip(got, want):
+            assert ([(d.class_id, d.score, d.image_id) for d in g_img]
+                    == [(d.class_id, d.score, d.image_id) for d in w_img])
+            for g, w in zip(g_img, w_img):
+                np.testing.assert_allclose([g.box.x1, g.box.y1, g.box.x2, g.box.y2],
+                                           [w.box.x1, w.box.y1, w.box.x2, w.box.y2],
+                                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("malform, match", [
+        (lambda outs: outs[:2], "^decode needs 3 head outputs"),
+        (lambda outs: outs + outs[:1], "^decode needs 3 head outputs"),
+        (lambda outs: [], "^decode needs 3 head outputs"),
+        (lambda outs: [outs[0], outs[1][:, :5], outs[2]], "^head 1 must be"),
+        (lambda outs: [outs[0], outs[1], outs[2][0]], "^head 2 must be"),
+        (lambda outs: [outs[0], np.concatenate([outs[1]] * 2), outs[2]], "^head 1 holds 2 images"),
+    ], ids=["two heads", "four heads", "no heads", "five channels", "rank 3", "batch of two"])
+    def test_malformed_heads_raise_shape_error_naming_the_scale(self, malform, match):
+        cfg = D.ModelConfig()
+        outs = [np.zeros((1, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)))
+                for s in range(3)]
+        with pytest.raises(ShapeError, match=match):
+            D.decode(malform(outs), cfg)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bin_logit_named_before_the_softmax(self, bad):
+        cfg = D.ModelConfig()
+        outs = [np.full((2, cfg.head_channels, cfg.head_grid(s), cfg.head_grid(s)), -40.0)
+                for s in range(3)]
+        outs[0][0, 0, 3, 6] = 8.0  # a finite candidate on scale 0 ...
+        outs[1][1, 0, 2, 4] = 8.0  # ... and one on scale 1 with a bad bin logit
+        outs[1][1, cfg.num_classes + 5, 2, 4] = bad
+        # the warnings filter turns numpy's invalid-value warning into a failure
+        with pytest.raises(NumericError, match=r"image 1, scale 1, cell \(row 2, column 4\)"):
+            D.decode(outs, cfg)
 
 
 def _nms_reference(dets, nms_iou):

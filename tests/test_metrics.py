@@ -391,6 +391,45 @@ class TestMNoCoAP:
         with pytest.raises(DataError, match="empty background annulus"):
             M.mnocoap([Detection(0, 0.9, Box(40, 40, 56, 56))], gts, {0: np.ones((96, 96))})
 
+    def test_matches_reference_with_string_ids_empty_images_and_edge_centroids(self):
+        rng = np.random.default_rng(4)
+        images = {name: rng.normal(1.0, 0.2, (48, 48)) for name in ("left", "right", "empty")}
+        gts = [GTBox("left", 0, Box(8, 8, 24, 24)), GTBox("left", 0, Box(8, 30, 24, 44)),
+               GTBox("right", 0, Box(20.5, 20, 30.5, 30))]
+        # each of these detections sits on a bright 4 px spot, so its contrast
+        # matches whenever its centroid counts as inside a truth
+        dets = [
+            Detection(0, 0.9, Box(22, 14, 26, 18), "left"),        # on gt 0's right edge
+            Detection(0, 0.8, Box(14, 42, 18, 46), "left"),        # on gt 1's bottom edge
+            Detection(0, 0.7, Box(18.5, 18, 22.5, 22), "right"),   # on gt 2's top-left corner
+            # 2**-41 right of gt 2's right edge, ranked first: inside, it
+            # would take gt 2 from the corner detection
+            Detection(0, 0.95, Box(28.5, 23, 32.5 + 2.0 ** -40, 27), "right"),
+            Detection(0, 0.5, Box(10, 10, 14, 14), "empty"),       # images without truths
+            Detection(0, 0.4, Box(30, 30, 34, 34), "empty"),
+        ]
+        for d in dets:
+            images[d.image_id][int(d.box.y1):int(d.box.y2), int(d.box.x1):int(d.box.x2)] += 3.0
+        value, per_delta = M.mnocoap(dets, gts, images)
+        assert (value, per_delta) == mnocoap_reference(dets, gts, images)
+        assert 0.0 < value < 1.0
+        report = M.evaluate_detections(dets, gts, images)
+        assert (report.mnocoap, report.per_delta) == (value, per_delta)
+
+    @pytest.mark.parametrize("shape", [(48,), (1, 48, 48)])
+    @pytest.mark.parametrize("whose", ["ground truth", "detection"])
+    def test_image_not_2d_raises_shape_error_naming_it(self, shape, whose):
+        gts = [GTBox("a", 0, Box(10, 10, 20, 20))]
+        dets = [Detection(0, 0.9, Box(10, 10, 20, 20), "a"),
+                Detection(0, 0.8, Box(10, 10, 20, 20), "b")]  # "b" has no truths
+        bad = "a" if whose == "ground truth" else "b"
+        images = {"a": np.ones((48, 48)), "b": np.ones((48, 48))}
+        images[bad] = np.ones(shape)
+        with pytest.raises(ShapeError, match=f"^image '{bad}' must be 2-D"):
+            M.mnocoap(dets, gts, images)
+        with pytest.raises(ShapeError, match=f"^image '{bad}' must be 2-D"):
+            M.evaluate_detections(dets, gts, images)
+
 
 def tied_eval_set(seed):
     """Five 64 px frames, two classes, every score quantized to 0.1: most
