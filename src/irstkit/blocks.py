@@ -205,6 +205,18 @@ class PassThrough(Module):
         return x
 
 
+def _copy_tree(module: Module) -> Module:
+    """``fold_bn``'s copy of ``module``: its own copy of every module and
+    buffer, sharing the parameters."""
+    twin = copy.copy(module)
+    for attr, v in vars(module).items():
+        if isinstance(v, Module):
+            setattr(twin, attr, _copy_tree(v))
+        elif isinstance(v, Tensor4) and not v.requires_grad:
+            setattr(twin, attr, Tensor4(v.data.copy(), name=v.name))
+    return twin
+
+
 def fold_bn(model: Module) -> Module:
     """Inference-only copy of ``model`` in which each conv -> batch-norm pair
     declared in ``bn_pairs`` is one conv with a bias.
@@ -212,11 +224,18 @@ def fold_bn(model: Module) -> Module:
     With s = gamma / sqrt(running_var + eps), the conv's weight becomes
     W * s per output channel and its bias beta + (b - running_mean) * s, so
     the conv's output equals the inference-mode batch norm of the old one up
-    to rounding; the batch norm becomes a :class:`PassThrough`.  The copy
-    keeps the block classes and shares every parameter it does not fold;
-    ``model`` is not modified.
+    to rounding; the batch norm becomes a :class:`PassThrough`.  ``model``
+    is not modified.
+
+    The copy is shallow: each module is copied with ``copy.copy`` and its
+    children are re-linked to their copies, so it keeps the block classes
+    and shares every parameter it does not fold and every attribute that is
+    neither state nor a child, such as a block's config.  Each buffer is a
+    new :class:`Tensor4` over a copy of its array, so training ``model``
+    afterwards leaves the running statistics of the batch norms the copy
+    keeps (VKConv's) alone.
     """
-    fused = copy.deepcopy(model, memo={id(p): p for p in model.parameters()})
+    fused = _copy_tree(model)
     for m in list(fused.sublayers()):
         for conv_attr, bn_attr in m.bn_pairs:
             conv, bn = getattr(m, conv_attr), getattr(m, bn_attr)

@@ -224,8 +224,10 @@ class Detector(Module):
         conv folded into it (``blocks.fold_bn``): its ``head0``-``head2``
         equal this model's inference-mode heads up to rounding, with 29 fewer
         batch-norm passes per forward (VKConv's four, which follow its
-        sample, stay).  ``self`` is unchanged and the copy shares its
-        unfolded parameters; build a new copy after the weights change."""
+        sample, stay).  ``self`` is unchanged.  The copy is shallow: it
+        shares the unfolded parameters and the config, and holds its own
+        modules and buffers, so training ``self`` leaves the copy's kept
+        batch norms alone; build a new copy after the weights change."""
         return fold_bn(self)
 
 
@@ -687,6 +689,13 @@ def train_step(model: Detector, optimizer: AdamW, images: np.ndarray, batch_gts,
     return record
 
 
+# One untouched block of this size, allocated and freed before each forward;
+# see ``predict``.  It stays at or below glibc's 32 MiB cap on the dynamic
+# mmap threshold (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit hosts) and above the
+# largest single buffer of a paper-scale 640 px forward.
+HEAP_HINT_BYTES = 30 << 20
+
+
 def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
             batch: int = 16) -> list[list[Detection]]:
     """Inference-mode detections for a stack of images (n, c, h, w).
@@ -697,11 +706,25 @@ def predict(model: Detector, images: np.ndarray, score_thresh: float = 0.25,
     are read in place, not copied.  Without a tape each MBConv block
     expands about ``MBCONV_BLOCK_BYTES`` of hidden channels at a time
     (Sandler et al. 2018, arXiv:1801.04381, Sec. 5.1): a forward holds one
-    block of a 6x expanded activation, never the whole of one."""
+    block of a 6x expanded activation, never the whole of one.
+
+    Before the forward it allocates ``HEAP_HINT_BYTES`` with ``np.empty``,
+    never writes them, and frees them, so no page of the block is touched
+    and the resident set does not grow.  glibc serves a request that large
+    with mmap, and freeing an mmapped chunk of at most 32 MiB raises its
+    dynamic mmap threshold to the chunk's size and its trim threshold to
+    twice that (mallopt(3)).  After that a frame's buffers come from the
+    heap, and the heap top that one frame leaves free is kept for the next
+    instead of being returned and faulted back in page by page.  The block
+    does nothing under another allocator, or when the environment sets
+    ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``,
+    ``MALLOC_TOP_PAD_`` or ``MALLOC_MMAP_MAX_``: glibc then keeps its
+    thresholds fixed, so the user's settings hold."""
     if not isinstance(batch, numbers.Integral):
         raise ConfigError(f"batch must be an integer, got {batch!r}")
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
+    np.empty(HEAP_HINT_BYTES, dtype=np.uint8)  # freed untouched; see above
     fused = model.fused()
     dets: list[list[Detection]] = []
     with T.no_grad():

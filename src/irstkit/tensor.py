@@ -688,9 +688,9 @@ def _from_tap_planes(planes: np.ndarray, shape, k: int, stride: int, pad: int, w
 
 
 # bytes per block of conv2d's broadcast taps (input planes, output and
-# product rows) and of silu_: a block stays in a core's L2 cache across its
-# passes, where whole-tensor passes stream through L3, and no scratch grows
-# with the input
+# product rows), of silu_ and of bilinear_sample's gathered rows: a block
+# stays in a core's L2 cache across its passes, where whole-tensor passes
+# stream through L3, and no scratch grows with the input
 _BROADCAST_BLOCK_BYTES = 1 << 19
 
 
@@ -955,28 +955,43 @@ def bilinear_sample(x: Tensor4, coords, point_w: Tensor4 | None = None) -> Tenso
     fx = yx[:, :, 1] - x0
     pw = point_w.data.reshape(1, kk, 1).astype(np.float64)
 
-    # per corner: (n, K, L) pixel indices and float64 point x corner weights;
-    # each (b, k) row of indices gathers all channels into one reused buffer
-    # (the indices are clipped already; mode="clip" lets take write to it
-    # directly, where the default mode would gather into a hidden copy)
+    # per corner: (n, K, L) pixel indices and float64 point x corner weights
     flat = x.data.reshape(n, c, h * w)
     corners = []
-    out = np.zeros((n, c, L), dtype=x.data.dtype)
-    buf = np.empty((c, L), dtype=x.data.dtype)
     for dy, dx, wgt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
                         (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
         yc = y0 + dy
         xc = x0 + dx
         valid = (yc >= 0) & (yc <= h - 1) & (xc >= 0) & (xc <= w - 1)
         idx = (np.clip(yc, 0, h - 1) * w + np.clip(xc, 0, w - 1)).astype(np.int64)
-        weight = pw * wgt * valid
-        cast = weight.astype(x.data.dtype)
-        for b in range(n):
-            for k in range(kk):
-                np.take(flat[b], idx[b, k], axis=1, out=buf, mode="clip")
-                buf *= cast[b, k]
-                out[b] += buf
-        corners.append((idx, valid, wgt, weight))
+        corners.append((idx, valid, wgt, pw * wgt * valid))
+
+    # per image, a channels-last (h*w, c) copy; per block of output
+    # positions, each (corner, point) gathers whole pixel rows of it into one
+    # reused buffer (the indices are clipped already; mode="clip" lets take
+    # write to it directly, where the default mode would gather into a
+    # hidden copy), scales them by a weight column and adds them into an
+    # accumulator, which is transposed into the output.  Each output element
+    # sums its terms corner by corner, point by point within a corner, as a
+    # channel-major gather would; the two buffers fill one cache block.
+    dt = x.data.dtype
+    step = max(1, _BROADCAST_BLOCK_BYTES // (2 * c * dt.itemsize))
+    out = np.empty((n, c, L), dtype=dt)
+    acc = np.empty((min(step, L), c), dtype=dt)
+    buf = np.empty_like(acc)
+    casts = [weight.astype(dt)[..., None] for _, _, _, weight in corners]
+    for b in range(n):
+        rows = np.ascontiguousarray(flat[b].T)
+        for lo in range(0, L, step):
+            hi = min(lo + step, L)
+            part, taken = acc[:hi - lo], buf[:hi - lo]
+            part[...] = 0
+            for (idx, _, _, _), cast in zip(corners, casts):
+                for k in range(kk):
+                    np.take(rows, idx[b, k, lo:hi], axis=0, out=taken, mode="clip")
+                    taken *= cast[b, k, lo:hi]
+                    part += taken
+            out[b, :, lo:hi] = part.T
 
     def back(g):
         go = g.reshape(n, c, L)

@@ -903,6 +903,29 @@ class TestFused:
         for (_, a), (_, b) in zip(before, after):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    def test_training_the_source_leaves_the_copy_alone(self):
+        # the fold copies modules shallowly; the batch norms it keeps
+        # (VKConv's) still hold running statistics of their own
+        cfg = D.ModelConfig(input_size=64, widths=(4, 4, 4, 4), num_classes=1, reg_bins=4)
+        model = randomize_bn(D.Detector(cfg, init_seed=8, dtype=np.float32), seed=9)
+        before = [(name, arr.copy()) for name, arr in model.state_arrays()]
+        fused = model.fused()
+        assert [(n, a.dtype, a.tobytes()) for n, a in model.state_arrays()] == [
+            (n, a.dtype, a.tobytes()) for n, a in before]
+
+        def kept_stats(m):
+            return [(bn.name, bn.running_mean.data.tobytes(), bn.running_var.data.tobytes())
+                    for bn in m.sublayers() if isinstance(bn, B.BatchNormLayer)
+                    and bn.name.endswith(".vk.bn")]
+
+        fused_stats, source_stats = kept_stats(fused), kept_stats(model)
+        assert len(fused_stats) == 4 and fused_stats == source_stats
+        images = np.random.default_rng(10).random((2, 1, 64, 64)).astype(np.float32)
+        D.train_step(model, D.AdamW(model.parameters()), images, [[], []], 0, 10, 1,
+                     D.TrainConfig(epochs=10), D.LossWeights())
+        assert all(a != b for a, b in zip(kept_stats(model), source_stats))
+        assert kept_stats(fused) == fused_stats
+
     def test_predict_equals_decoded_unfused_forward(self):
         cfg = D.ModelConfig(input_size=64, widths=(4, 4, 4, 4), num_classes=2, reg_bins=4)
         model = randomize_bn(D.Detector(cfg, init_seed=8, dtype=np.float64), seed=9)

@@ -386,7 +386,61 @@ class TestChannelShuffle:
         np.testing.assert_array_equal(T.channel_shuffle(T.Tensor4(gx), 2).data, g)
 
 
+def channel_major_bilinear(x, coords, point_w):
+    """The bilinear sample's forward as one channel-major gather per
+    (corner, point): for each corner, then each point, take all c channels
+    at the point's L clipped pixel indices, scale them by the point's
+    corner weight and add them into the (n, c, L) output."""
+    n, c, h, w = x.shape
+    kk = point_w.size
+    yx = coords.reshape(n, kk, 2, -1)
+    y0, x0 = np.floor(yx[:, :, 0]), np.floor(yx[:, :, 1])
+    fy, fx = yx[:, :, 0] - y0, yx[:, :, 1] - x0
+    pw = point_w.reshape(1, kk, 1).astype(np.float64)
+    flat = x.reshape(n, c, h * w)
+    out = np.zeros((n, c, yx.shape[-1]), dtype=x.dtype)
+    for dy, dx, wgt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                        (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
+        yc, xc = y0 + dy, x0 + dx
+        valid = (yc >= 0) & (yc <= h - 1) & (xc >= 0) & (xc <= w - 1)
+        idx = (np.clip(yc, 0, h - 1) * w + np.clip(xc, 0, w - 1)).astype(np.int64)
+        cast = (pw * wgt * valid).astype(x.dtype)
+        for b in range(n):
+            for k in range(kk):
+                out[b] += np.take(flat[b], idx[b, k], axis=1) * cast[b, k]
+    return out.reshape(n, c, *coords.shape[2:])
+
+
 class TestBilinearSample:
+    # block_bytes None keeps the default; 200 bytes gives blocks of 4 or 8
+    # output positions (float64, float32) and a shorter last block; 1 byte
+    # gives one position per block
+    @pytest.mark.parametrize("block_bytes", [None, 200, 1])
+    @pytest.mark.parametrize("kk", [1, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_equals_channel_major_reference_bit_for_bit(
+            self, dtype, kk, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            monkeypatch.setattr(T, "_BROADCAST_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 6, 7)).astype(dtype)
+        coords = rng.uniform(-2.5, 8.5, size=(2, 2 * kk, 5, 6))
+        y, xx = coords[:, 0::2], coords[:, 1::2]
+        y[:, :, 0, :3] = 5.0            # exactly on the last row
+        xx[:, :, 1, :3] = 6.0           # exactly on the last column
+        y[:, :, 2, 0], xx[:, :, 2, 0] = 5.0, 6.0  # the last pixel
+        y[:, :, 2, 1:4] = -0.25         # negative fractional rows
+        xx[:, :, 3, 1:4] = -0.75        # negative fractional columns
+        y[:, :, 4, 0], xx[:, :, 4, 1] = -1.0, 7.0  # just outside
+        y[:, :, 4, 2], xx[:, :, 4, 3] = -40.5, 90.25  # far outside
+        coords = coords.astype(dtype)  # as the op coerces them
+        point_w = rng.standard_normal((1, kk, 1, 1)).astype(dtype)
+        with T.no_grad():
+            out = T.bilinear_sample(T.Tensor4(x), coords, T.Tensor4(point_w)).data
+        want = channel_major_bilinear(x, coords, point_w)
+        assert out.dtype == want.dtype and out.flags.c_contiguous
+        assert out.tobytes() == want.tobytes()
+
     def test_integer_coords_exact(self):
         x = T.Tensor4(np.arange(16.0).reshape(1, 1, 4, 4))
         coords = np.zeros((1, 2, 2, 2))
